@@ -7,6 +7,8 @@ statistical failures (CLI exit code 3).
 
 from __future__ import annotations
 
+import copyreg
+
 
 class SpotvolError(Exception):
     """Base class for all spotvol errors.
@@ -16,6 +18,11 @@ class SpotvolError(Exception):
     """
 
     stage: str | None = None
+
+    def __reduce__(self):
+        # unpickle from the message and attributes without calling __init__,
+        # whose signature differs between subclasses
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InputError(SpotvolError):

@@ -4,6 +4,9 @@ Parses CSV exports of day-ahead spot prices into a validated PriceSeries
 and recasts one calendar year of observations into a 24 x D day matrix
 (columns = days), resolving DST deformations (23/25-hour local days),
 leap years and short data gaps.
+
+Times are epoch hours (see zones); after the text is read, all per-row
+work runs in numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ import calendar
 import io
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
+from math import isfinite
 from pathlib import Path
-from typing import IO, Iterable
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -26,15 +29,21 @@ from .errors import (
     MalformedRow,
     WrongYearSpan,
 )
-
-OBSERVED = "observed"
-IMPUTED = "imputed"
-MISSING = "missing"
+from .zones import (
+    EPOCH_ORDINAL,
+    HOURS_PER_DAY,
+    ZoneOffsets,
+    changes,
+    epoch_hour,
+    iso_hour,
+    years_of,
+)
 
 DEFAULT_ZONE = "Europe/Berlin"
 DEFAULT_GAP_LIMIT = 6
 
-HOURS_PER_DAY = 24
+_HOUR = timedelta(hours=1)
+_NAIVE = 99  # offset of a naive (wall-time) stamp; real ones lie within +-24 h
 
 
 def days_in_year(year: int) -> int:
@@ -82,31 +91,35 @@ class DstPolicy:
 
 @dataclass
 class PriceSeries:
-    """Ordered hourly price observations for (at most) one market year.
+    """Hourly price entries for (at most) one market year, in time order.
 
-    Timestamps are wall-clock datetimes carrying the market zone; values
-    are EUR/MWh and may be zero or negative.  Entries flagged "missing"
+    ``utc_hours`` holds each entry's instant in epoch hours; ``values``
+    are EUR/MWh and may be zero or negative.  Entries not ``observed``
     hold NaN and only mark a known-absent slot (wide-format empty cells).
+    ``zone`` is the market time zone whose wall-clock days calendarize
+    lays out.
     """
 
-    timestamps: list[datetime]
+    utc_hours: np.ndarray
     values: np.ndarray
-    flags: list[str]
+    observed: np.ndarray
     market_label: str = ""
     year: int | None = None
     zone: str = DEFAULT_ZONE
 
     def __post_init__(self):
+        self.utc_hours = np.asarray(self.utc_hours, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=float)
-        if not (len(self.timestamps) == len(self.values) == len(self.flags)):
-            raise ValueError("timestamps, values and flags must have equal length")
+        self.observed = np.asarray(self.observed, dtype=bool)
+        if not (len(self.utc_hours) == len(self.values) == len(self.observed)):
+            raise ValueError("utc_hours, values and observed must have equal length")
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self.utc_hours)
 
-    @property
-    def observed_count(self) -> int:
-        return sum(1 for f in self.flags if f == OBSERVED)
+    def utc_offsets(self) -> np.ndarray:
+        """The market zone's UTC offset in hours at each entry."""
+        return ZoneOffsets(self.zone, self.utc_hours).at(self.utc_hours)
 
 
 @dataclass
@@ -151,13 +164,14 @@ def _read_text(source) -> str:
     elif isinstance(source, bytes):
         data = source
     elif isinstance(source, io.TextIOBase):
-        return source.read()
+        return source.read().removeprefix("\ufeff")
     elif hasattr(source, "read"):
         data = source.read()
     else:
         raise TypeError(f"cannot read from {type(source).__name__}")
     try:
-        return data.decode("utf-8")
+        # utf-8-sig drops the byte-order mark spreadsheet exports often start with
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MalformedRow(0, f"input is not UTF-8 text: {exc}") from exc
 
@@ -170,7 +184,8 @@ def _parse_timestamp(text: str, line_no: int) -> datetime:
         ts = datetime.fromisoformat(text)
     except ValueError as exc:
         raise MalformedRow(line_no, f"bad timestamp {text!r}: {exc}") from exc
-    if ts.minute or ts.second or ts.microsecond:
+    # whole hours in UTC as well as in the stamp's own offset
+    if ts.minute or ts.second or ts.microsecond or (ts.utcoffset() or _HOUR) % _HOUR:
         raise MalformedRow(line_no, f"timestamp {text!r} is not on an hour boundary")
     return ts
 
@@ -180,28 +195,9 @@ def _parse_price(text: str, line_no: int) -> float:
         value = float(text)
     except ValueError as exc:
         raise MalformedRow(line_no, f"bad price {text!r}") from exc
-    if not np.isfinite(value):
+    if not isfinite(value):
         raise MalformedRow(line_no, f"price {text!r} is not finite")
     return value
-
-
-def _wall_offsets(wall: datetime, tz: ZoneInfo) -> tuple[timedelta, timedelta]:
-    return (
-        wall.replace(tzinfo=tz, fold=0).utcoffset(),
-        wall.replace(tzinfo=tz, fold=1).utcoffset(),
-    )
-
-
-def wall_exists(wall: datetime, tz: ZoneInfo) -> bool:
-    """False for wall times skipped by a spring-forward transition."""
-    off0, off1 = _wall_offsets(wall, tz)
-    return off0 >= off1
-
-
-def wall_is_ambiguous(wall: datetime, tz: ZoneInfo) -> bool:
-    """True for wall times repeated by a fall-back transition."""
-    off0, off1 = _wall_offsets(wall, tz)
-    return off0 > off1
 
 
 def _split_csv_line(line: str) -> list[str]:
@@ -209,39 +205,53 @@ def _split_csv_line(line: str) -> list[str]:
     return [cell.strip() for cell in line.split(",")]
 
 
-def _parse_long(lines: list[str], tz: ZoneInfo) -> list[tuple[datetime, float, str]]:
+def _parse_long(lines: list[str]):
+    """Stamp hours as written, their UTC offsets (_NAIVE for wall time),
+    prices and line numbers of the data rows, in file order."""
     header = [h.lower() for h in _split_csv_line(lines[0])]
     if header != ["timestamp", "price"]:
         raise MalformedRow(1, f"expected header 'timestamp,price', got {lines[0]!r}")
 
-    entries: list[tuple[datetime, float, str]] = []
-    naive_seen: dict[datetime, int] = {}
+    fields, offsets, values, line_nos = [], [], [], []
+    offset_of = {}  # tzinfo of a parsed stamp -> its UTC offset in hours
+    fromisoformat = datetime.fromisoformat
     for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = _split_csv_line(line)
-        if len(cells) != 2:
-            raise MalformedRow(line_no, f"expected 2 fields, got {len(cells)}")
-        ts = _parse_timestamp(cells[0], line_no)
-        value = _parse_price(cells[1], line_no)
-        if ts.tzinfo is None:
-            # naive stamps are market wall time; a repeated wall hour is the
-            # second leg of a fall-back transition
-            repeats = naive_seen.get(ts, 0)
-            naive_seen[ts] = repeats + 1
-            ts = ts.replace(tzinfo=tz, fold=1 if repeats else 0)
-        entries.append((ts, value, OBSERVED))
-    return entries
+        # fast path for a well-formed row; anything else is parsed again
+        # by the strict per-field code, which raises the precise error
+        stamp, _, price = line.partition(",")
+        try:
+            ts = fromisoformat(stamp)
+            value = float(price)
+            offset = offset_of[ts.tzinfo]
+            if ts.minute or ts.second or ts.microsecond or not isfinite(value):
+                raise ValueError
+        except (ValueError, KeyError):
+            if not line.strip():
+                continue
+            cells = _split_csv_line(line)
+            if len(cells) != 2:
+                raise MalformedRow(line_no, f"expected 2 fields, got {len(cells)}")
+            ts = _parse_timestamp(cells[0], line_no)
+            value = _parse_price(cells[1], line_no)
+            naive = ts.tzinfo is None
+            offset = offset_of.setdefault(ts.tzinfo, _NAIVE if naive else ts.utcoffset() // _HOUR)
+        fields.append(ts.toordinal() * HOURS_PER_DAY + ts.hour)
+        offsets.append(offset)
+        values.append(value)
+        line_nos.append(line_no)
+    fields = np.array(fields, dtype=np.int64) - EPOCH_ORDINAL * HOURS_PER_DAY
+    return fields, np.array(offsets, dtype=np.int64), np.array(values, dtype=float), line_nos
 
 
-def _parse_wide(lines: list[str], tz: ZoneInfo) -> list[tuple[datetime, float, str]]:
+def _parse_wide(lines: list[str]):
+    """As _parse_long, one entry per cell; empty cells hold NaN."""
     header = [h.lower() for h in _split_csv_line(lines[0])]
     expected = ["date"] + [f"h{i}" for i in range(1, 25)]
     if header != expected:
         raise MalformedRow(1, "expected header 'date,h1,...,h24'")
 
-    entries: list[tuple[datetime, float, str]] = []
-    seen_dates: set[date] = set()
+    days, values, line_nos = [], [], []
+    seen: set[date] = set()
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -252,22 +262,22 @@ def _parse_wide(lines: list[str], tz: ZoneInfo) -> list[tuple[datetime, float, s
             day = date.fromisoformat(cells[0])
         except ValueError as exc:
             raise MalformedRow(line_no, f"bad date {cells[0]!r}") from exc
-        if day in seen_dates:
+        if day in seen:
             raise DuplicateTimestamp(f"duplicate date row {day.isoformat()} at line {line_no}")
-        seen_dates.add(day)
-        for hour, cell in enumerate(cells[1:]):
-            wall = datetime(day.year, day.month, day.day, hour)
-            exists = wall_exists(wall, tz)
-            if not cell:
-                entries.append((wall.replace(tzinfo=tz), np.nan, MISSING))
-            elif not exists:
-                raise MalformedRow(
-                    line_no,
-                    f"{wall.isoformat()} does not exist in local time (spring forward)",
-                )
-            else:
-                entries.append((wall.replace(tzinfo=tz), _parse_price(cell, line_no), OBSERVED))
-    return entries
+        seen.add(day)
+        try:  # fast path: 24 finite numbers
+            row = list(map(float, cells[1:]))
+            if not all(map(isfinite, row)):
+                raise ValueError
+        except ValueError:
+            row = [_parse_price(cell, line_no) if cell else np.nan for cell in cells[1:]]
+        days.append(day.toordinal())
+        values.extend(row)
+        line_nos.append(line_no)
+    starts = (np.array(days, dtype=np.int64) - EPOCH_ORDINAL) * HOURS_PER_DAY
+    fields = (starts[:, None] + np.arange(HOURS_PER_DAY)).ravel()
+    offsets = np.full(fields.size, _NAIVE, dtype=np.int64)
+    return fields, offsets, np.array(values, dtype=float), np.repeat(line_nos, HOURS_PER_DAY).tolist()
 
 
 def parse_price_csv(
@@ -286,49 +296,53 @@ def parse_price_csv(
     """
     if format not in ("long", "wide"):
         raise ValueError(f"unknown format {format!r}")
-    tz = ZoneInfo(zone)
-    text = _read_text(source)
-    lines = text.splitlines()
+    ZoneInfo(zone)  # an unknown zone fails before the source is read
+    lines = _read_text(source).splitlines()
     if not lines or not lines[0].strip():
         raise EmptyInput("no header row")
 
-    if format == "long":
-        entries = _parse_long(lines, tz)
-    else:
-        entries = _parse_wide(lines, tz)
-    if not any(flag == OBSERVED for _, _, flag in entries):
+    parse = _parse_long if format == "long" else _parse_wide
+    fields, offsets, values, line_nos = parse(lines)
+    observed = ~np.isnan(values)
+    offsets_in_zone = ZoneOffsets(zone, fields)
+
+    # naive stamps are market wall time; a repeated wall hour is the second
+    # leg of a fall-back transition
+    naive = offsets == _NAIVE
+    walls = fields[naive]
+    fold0, fold1, skipped = offsets_in_zone.resolve(walls)
+    bad = np.flatnonzero(skipped & observed[naive])
+    if bad.size:
+        k = np.flatnonzero(naive)[bad[0]]
+        raise MalformedRow(
+            line_nos[k], f"{iso_hour(fields[k])} does not exist in local time (spring forward)"
+        )
+    order = np.argsort(walls, kind="stable")
+    repeated = np.empty(walls.size, dtype=bool)
+    repeated[order] = ~changes(walls[order])
+    utc = fields - offsets
+    utc[naive] = np.where(repeated, fold1, fold0)
+
+    if not observed.any():
         raise EmptyInput("no data rows")
 
-    # sort by absolute instant, breaking ties (imaginary DST labels) by wall time
-    entries.sort(key=lambda e: (e[0], e[0].replace(tzinfo=None)))
-    last_instant = None
-    for ts, _, flag in entries:
-        if flag != OBSERVED:
-            continue
-        instant = ts.astimezone(ZoneInfo("UTC"))
-        if last_instant is not None and instant == last_instant:
-            raise DuplicateTimestamp(f"duplicate timestamp {ts.isoformat()}")
-        last_instant = instant
+    # sort by absolute instant, breaking ties (skipped DST labels) by wall time
+    order = np.lexsort((fields, utc))
+    utc, fields, values, observed = utc[order], fields[order], values[order], observed[order]
+    seen = np.flatnonzero(observed)
+    dup = np.flatnonzero(utc[seen][1:] == utc[seen][:-1])
+    if dup.size:
+        a, b = seen[dup[0]], seen[dup[0] + 1]
+        first, second = sorted((line_nos[order[a]], line_nos[order[b]]))
+        stamp = iso_hour(fields[b], fields[b] - utc[b])
+        raise DuplicateTimestamp(f"duplicate timestamp {stamp} at lines {first} and {second}")
 
-    timestamps = [ts for ts, _, _ in entries]
-    values = np.array([v for _, v, _ in entries], dtype=float)
-    flags = [f for _, _, f in entries]
-    wall_years = {_wall_in_zone(ts, tz).year for ts in timestamps}
-    year = wall_years.pop() if len(wall_years) == 1 else None
-    return PriceSeries(timestamps, values, flags, market_label, year, zone)
+    wall_years = np.unique(years_of(utc + offsets_in_zone.at(utc)))
+    year = int(wall_years[0]) if wall_years.size == 1 else None
+    return PriceSeries(utc, values, observed, market_label, year, zone)
 
 
 # --- calendarization --------------------------------------------------------
-
-
-def _wall_in_zone(ts: datetime, tz: ZoneInfo) -> datetime:
-    """Wall-clock view of a timestamp in the market zone (naive, plus fold)."""
-    if ts.tzinfo is None:
-        return ts
-    if isinstance(ts.tzinfo, ZoneInfo) and str(ts.tzinfo) == str(tz):
-        return ts.replace(tzinfo=None).replace(fold=ts.fold)
-    local = ts.astimezone(tz)
-    return local.replace(tzinfo=None).replace(fold=local.fold)
 
 
 def calendarize(
@@ -344,105 +358,77 @@ def calendarize(
     (flagged imputed); longer runs raise GapTooLong.
     """
     policy = policy or DstPolicy()
-    tz = ZoneInfo(series.zone)
-
-    walls = [_wall_in_zone(ts, tz) for ts in series.timestamps]
-    observed = [
-        (wall, value)
-        for wall, value, flag in zip(walls, series.values, series.flags)
-        if flag == OBSERVED
-    ]
-    if not observed:
+    if not series.observed.any():
         raise WrongYearSpan("series holds no observed values")
+    utc = series.utc_hours[series.observed]
+    observed_values = series.values[series.observed]
+    walls = utc + ZoneOffsets(series.zone, utc).at(utc)
 
-    years = {wall.year for wall, _ in observed}
+    years = np.unique(years_of(walls)).tolist()
     if len(years) > 1:
-        raise WrongYearSpan(f"series spans several years: {sorted(years)}")
-    year = years.pop()
+        raise WrongYearSpan(f"series spans several years: {years}")
+    year = years[0]
     if series.year is not None and series.year != year:
         raise WrongYearSpan(f"series labeled {series.year} but data lie in {year}")
 
     n_days = days_in_year(year)
     jan1 = date(year, 1, 1)
-    day_labels = [jan1 + timedelta(days=d) for d in range(n_days)]
+    day_labels = [date.fromordinal(jan1.toordinal() + d) for d in range(n_days)]
+    n = HOURS_PER_DAY * n_days
+    start = epoch_hour(jan1)
+    grid = start + np.arange(n)
+    fold0, fold1, skipped = ZoneOffsets(series.zone, grid).resolve(grid)
 
-    values = np.full((HOURS_PER_DAY, n_days), np.nan)
-    counts = np.zeros((HOURS_PER_DAY, n_days), dtype=int)
-    first = np.full((HOURS_PER_DAY, n_days), np.nan)
-    last = np.full((HOURS_PER_DAY, n_days), np.nan)
-    sums = np.zeros((HOURS_PER_DAY, n_days))
+    # observations by temporal slot d * 24 + h, in series order per slot
+    slots = walls - start
+    counts = np.bincount(slots, minlength=n)
+    bad = (counts > 2) | ((counts == 2) & ((fold0 == fold1) | skipped))
+    if bad.any():
+        # report the first slot that is not an ambiguous wall hour, in (hour, day) order
+        h, d = (x[0] for x in np.nonzero(bad.reshape((n_days, HOURS_PER_DAY)).T))
+        raise DuplicateTimestamp(
+            f"wall slot {iso_hour(start + d * HOURS_PER_DAY + h)} observed"
+            f" {counts[d * HOURS_PER_DAY + h]} times but is not a DST fall-back hour"
+        )
+    order = np.argsort(slots, kind="stable")
+    ordered, ordered_values = slots[order], observed_values[order]
+    firsts = changes(ordered)
+    seconds = np.flatnonzero(~firsts)  # second legs of fall-back hours
+    flat = np.full(n, np.nan)
+    flat[ordered[firsts]] = ordered_values[firsts]
+    if policy.fall == "mean":
+        legs = ordered_values[seconds - 1], ordered_values[seconds]
+        flat[ordered[seconds]] = (0.0 + legs[0] + legs[1]) / 2.0
+    elif policy.fall == "last":
+        flat[ordered[seconds]] = ordered_values[seconds]
 
-    for wall, value in observed:
-        d = (wall.date() - jan1).days
-        h = wall.hour
-        if counts[h, d] == 0:
-            first[h, d] = value
-        last[h, d] = value
-        sums[h, d] += value
-        counts[h, d] += 1
-
-    fall_collapsed = 0
-    for h, d in zip(*np.nonzero(counts)):
-        c = counts[h, d]
-        if c == 1:
-            values[h, d] = first[h, d]
-            continue
-        wall = datetime.combine(day_labels[d], datetime.min.time()) + timedelta(hours=int(h))
-        if c > 2 or not wall_is_ambiguous(wall, tz):
-            raise DuplicateTimestamp(
-                f"wall slot {wall.isoformat()} observed {c} times but is not a DST fall-back hour"
-            )
-        if policy.fall == "mean":
-            values[h, d] = sums[h, d] / 2.0
-        elif policy.fall == "first":
-            values[h, d] = first[h, d]
-        else:
-            values[h, d] = last[h, d]
-        fall_collapsed += 1
-
-    imputed = np.zeros((HOURS_PER_DAY, n_days), dtype=bool)
-    flat = values.ravel(order="F")
-    flat_imputed = imputed.ravel(order="F")
-    n = flat.size
-
-    def slot_wall(idx: int) -> datetime:
-        d, h = divmod(idx, HOURS_PER_DAY)
-        return datetime.combine(day_labels[d], datetime.min.time()) + timedelta(hours=h)
-
-    missing_idx = np.nonzero(np.isnan(flat))[0]
-    n_missing_input = len(missing_idx)
-    spring_filled = 0
-    gap_hours = 0
-
-    i = 0
-    while i < len(missing_idx):
-        j = i
-        while j + 1 < len(missing_idx) and missing_idx[j + 1] == missing_idx[j] + 1:
-            j += 1
-        run = missing_idx[i : j + 1]
-        spring_slots = [idx for idx in run if not wall_exists(slot_wall(int(idx)), tz)]
-        effective = len(run) - len(spring_slots)
+    imputed = np.isnan(flat)
+    edges = np.diff(imputed.astype(np.int8), prepend=0, append=0)
+    skipped_before = np.r_[0, np.cumsum(skipped)]
+    spring_filled = gap_hours = 0
+    # each run of missing slots [lo, end), filled from its observed neighbours
+    for lo, end in zip(np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()):
+        length = end - lo
+        spring_slots = int(skipped_before[end] - skipped_before[lo])
+        effective = length - spring_slots
         if effective > gap_limit:
-            raise GapTooLong(slot_wall(int(run[0])).isoformat(), effective)
+            raise GapTooLong(iso_hour(start + lo), effective)
 
-        lo, hi = int(run[0]), int(run[-1])
-        if len(run) == 1 and spring_slots and policy.spring == "hold" and lo > 0:
+        if length == 1 and spring_slots and policy.spring == "hold" and lo > 0:
             flat[lo] = flat[lo - 1]
         elif lo == 0:
-            flat[run] = flat[hi + 1]
-        elif hi == n - 1:
-            flat[run] = flat[lo - 1]
+            flat[:end] = flat[end]
+        elif end == n:
+            flat[lo:] = flat[lo - 1]
         else:
-            left, right = flat[lo - 1], flat[hi + 1]
-            steps = np.arange(1, len(run) + 1, dtype=float) / (len(run) + 1)
-            flat[run] = left + steps * (right - left)
-        flat_imputed[run] = True
-        spring_filled += len(spring_slots)
+            left, right = flat[lo - 1], flat[end]
+            steps = np.arange(1, length + 1, dtype=float) / (length + 1)
+            flat[lo:end] = left + steps * (right - left)
+        spring_filled += spring_slots
         gap_hours += effective
-        i = j + 1
 
     values = flat.reshape((n_days, HOURS_PER_DAY)).T
-    imputed = flat_imputed.reshape((n_days, HOURS_PER_DAY)).T
+    imputed = imputed.reshape((n_days, HOURS_PER_DAY)).T
 
     manifest = {
         "year": year,
@@ -451,14 +437,10 @@ def calendarize(
         "n_slots": int(n),
         "n_observed": int(n - imputed.sum()),
         "n_imputed": int(imputed.sum()),
-        "n_missing_input": int(n_missing_input),
-        "n_dst_spring_filled": int(spring_filled),
-        "n_dst_fall_collapsed": int(fall_collapsed),
-        "gap_hours_filled": int(gap_hours),
-        "policy": {
-            "spring": policy.spring,
-            "fall": policy.fall,
-            "gap_limit": int(gap_limit),
-        },
+        "n_missing_input": int(imputed.sum()),
+        "n_dst_spring_filled": spring_filled,
+        "n_dst_fall_collapsed": int(seconds.size),
+        "gap_hours_filled": gap_hours,
+        "policy": {"spring": policy.spring, "fall": policy.fall, "gap_limit": int(gap_limit)},
     }
     return DayMatrix(values, imputed, day_labels, year, manifest)

@@ -12,6 +12,8 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .ingest import PriceSeries
 from .lowrank import RankPModel
 
@@ -35,13 +37,22 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 
 
 def series_to_long_csv(series: PriceSeries) -> str:
-    """Canonical long format: ISO-8601 timestamps with offset, one per hour."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["timestamp", "price"])
-    for ts, value in zip(series.timestamps, series.values):
-        writer.writerow([ts.isoformat(), f"{value:.6f}"])
-    return buf.getvalue()
+    """Canonical long format: ISO-8601 timestamps with offset, one per hour.
+
+    Stamps are wall time in the series' zone with that zone's offset.
+    """
+    offsets = series.utc_offsets()
+    walls = (series.utc_hours + offsets).astype("datetime64[h]")
+    suffix = {o: f"{'-' if o < 0 else '+'}{abs(o):02d}:00" for o in set(offsets.tolist())}
+    rows = [
+        f"{stamp}{suffix[o]},{value:.6f}\n"
+        for stamp, o, value in zip(
+            np.datetime_as_string(walls, unit="s").tolist(),
+            offsets.tolist(),
+            series.values.tolist(),
+        )
+    ]
+    return "timestamp,price\n" + "".join(rows)
 
 
 def write_long_csv(path: Path, series: PriceSeries) -> None:

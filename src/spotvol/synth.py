@@ -11,13 +11,14 @@ by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import date
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidSpec
-from .ingest import OBSERVED, PriceSeries, days_in_year
+from .ingest import PriceSeries, days_in_year
+from .zones import epoch_hour
 
 Amplitude = Callable[[np.ndarray], np.ndarray]
 Modulation = Callable[[np.ndarray], np.ndarray]
@@ -153,13 +154,11 @@ def generate(spec: SynthSpec) -> PriceSeries:
     signs = np.where(rng.random((24, n_days)) < spec.sign_mix, -1.0, 1.0)
     values = signal + signs * magnitudes
 
-    start = datetime(spec.year, 1, 1, tzinfo=timezone.utc)
     n = 24 * n_days
-    timestamps = [start + timedelta(hours=i) for i in range(n)]
     return PriceSeries(
-        timestamps=timestamps,
+        utc_hours=epoch_hour(date(spec.year, 1, 1)) + np.arange(n),
         values=values.ravel(order="F"),
-        flags=[OBSERVED] * n,
+        observed=np.ones(n, dtype=bool),
         market_label=f"synthetic-{spec.year}",
         year=spec.year,
         zone="UTC",

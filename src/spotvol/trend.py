@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .errors import DegenerateDesign
 
@@ -74,7 +74,7 @@ def fit_trend(points: list[tuple[int, float]]) -> VolatilityTrend:
     dof = n - 2
     rss = float(resid @ resid)
     stderr = float(np.sqrt(rss / dof / sxx))
-    t = float(stats.t.ppf(0.975, dof))
+    t = float(stdtrit(dof, 0.975))  # the Student t quantile scipy.stats.t.ppf returns
     half = t * stderr
     return VolatilityTrend(
         points=pts,

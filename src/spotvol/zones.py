@@ -1,0 +1,98 @@
+"""Epoch hours and whole-hour time-zone offsets.
+
+Instants, and wall-clock times read as if they were UTC, are int64 counts
+of whole hours since 1970-01-01T00:00 ("epoch hours").  ZoneOffsets gives
+a zone's UTC offsets for arrays of them after probing the zone once per
+day the data touch, in place of per-row datetime arithmetic.
+"""
+
+from __future__ import annotations
+
+from datetime import date, datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
+
+import numpy as np
+
+from .errors import InputError
+
+HOURS_PER_DAY = 24
+EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+# probed days, 0001-01-02 to 9999-12-30, keep any UTC offset inside datetime's range
+_DAY_RANGE = (2 - EPOCH_ORDINAL, date.max.toordinal() - 1 - EPOCH_ORDINAL)
+
+
+def epoch_hour(day: date) -> int:
+    """Epoch hour of midnight starting ``day``."""
+    return (day.toordinal() - EPOCH_ORDINAL) * HOURS_PER_DAY
+
+
+def iso_hour(hour: int, offset: int | None = None) -> str:
+    """ISO-8601 text of an epoch hour, with a UTC offset in hours if given."""
+    stamp = datetime(1970, 1, 1) + timedelta(hours=int(hour))
+    if offset is not None:
+        stamp = stamp.replace(tzinfo=timezone(timedelta(hours=int(offset))))
+    return stamp.isoformat()
+
+
+def changes(a: np.ndarray) -> np.ndarray:
+    """True where an element differs from the one before it, and at 0."""
+    out = np.ones(a.size, dtype=bool)
+    out[1:] = a[1:] != a[:-1]
+    return out
+
+
+def years_of(hours: np.ndarray) -> np.ndarray:
+    """Calendar years of epoch hours."""
+    return hours.astype("datetime64[h]").astype("datetime64[Y]").astype(np.int64) + 1970
+
+
+class ZoneOffsets:
+    """Whole-hour UTC offsets of a zone near the days some epoch hours touch.
+
+    The offset is probed at each UTC day start from two days before to two
+    days after every such day, and hourly on days where it changes, so
+    lookups are exact there: for instants and for the wall times of
+    ``hours``.
+    """
+
+    def __init__(self, zone: str, hours: np.ndarray):
+        tz = ZoneInfo(zone)
+        days = np.unique(np.asarray(hours, dtype=np.int64) // HOURS_PER_DAY)
+        days = np.unique(np.clip(days[:, None] + np.arange(-2, 4), *_DAY_RANGE))
+        offsets = self._probe(tz, days * HOURS_PER_DAY)
+        changed = days[:-1][(np.diff(days) == 1) & (offsets[1:] != offsets[:-1])]
+        hourly = (changed[:, None] * HOURS_PER_DAY + np.arange(1, HOURS_PER_DAY)).ravel()
+        starts = np.concatenate([days * HOURS_PER_DAY, hourly])
+        offsets = np.concatenate([offsets, self._probe(tz, hourly)])
+        order = np.argsort(starts)
+        keep = changes(offsets[order])
+        self._starts, self._offsets = starts[order][keep], offsets[order][keep]
+
+    @staticmethod
+    def _probe(tz: ZoneInfo, hours: np.ndarray) -> np.ndarray:
+        offsets = [datetime.fromtimestamp(h * 3600, tz).utcoffset() for h in hours.tolist()]
+        seconds = np.array(offsets, dtype="timedelta64[s]").astype(np.int64)
+        uneven = np.flatnonzero(seconds % 3600)
+        if uneven.size:
+            i = uneven[0]
+            raise InputError(f"zone {tz.key} is {offsets[i]} from UTC at {iso_hour(hours[i])}Z")
+        return seconds // 3600
+
+    def at(self, utc: np.ndarray) -> np.ndarray:
+        """UTC offsets in hours at the given instants."""
+        i = np.searchsorted(self._starts, utc, side="right") - 1
+        return self._offsets[np.maximum(i, 0)]
+
+    def resolve(self, wall: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Instants of wall times read with fold 0 and fold 1 (as PEP 495
+        datetimes), and the mask of wall times the zone skips.
+
+        26 hours either side of a wall time bracket every instant it names.
+        """
+        before, after = self.at(wall - 26), self.at(wall + 26)
+        first, second = wall - before, wall - after
+        first_ok = self.at(first) == before
+        second_ok = self.at(second) == after
+        fold0 = np.where(first_ok | ~second_ok, first, second)
+        fold1 = np.where(second_ok | ~first_ok, second, first)
+        return fold0, fold1, ~(first_ok | second_ok)

@@ -24,13 +24,18 @@ def parse(text, **kwargs):
     return sv.parse_price_csv(io.StringIO(text), **kwargs)
 
 
+def epoch_hours(stamp):
+    return np.datetime64(stamp, "h").astype(np.int64)
+
+
 def test_long_row_with_offset():
     series = parse("timestamp,price\n2016-07-01T13:00+02:00,28.50\n")
     assert len(series) == 1
     assert series.values[0] == 28.50
-    ts = series.timestamps[0]
-    assert (ts.hour, ts.minute) == (13, 0)
-    assert series.flags == ["observed"]
+    # 13:00 at +02:00 is 11:00 UTC and 13:00 Berlin wall time
+    assert series.utc_hours[0] == epoch_hours("2016-07-01T11")
+    assert series.utc_hours[0] + series.utc_offsets()[0] == epoch_hours("2016-07-01T13")
+    assert series.observed.tolist() == [True]
 
 
 def test_long_accepts_negative_and_zero_prices():
@@ -62,6 +67,10 @@ def test_long_rejects_sub_hour_timestamp():
     with pytest.raises(MalformedRow) as info:
         parse("timestamp,price\n2016-07-01T13:30Z,1.0\n")
     assert info.value.line_number == 2
+    # on the hour in its own offset, but not on a UTC hour
+    with pytest.raises(MalformedRow) as info:
+        parse("timestamp,price\n2016-07-01T13:00Z,1.0\n2016-07-01T19:00+05:30,1.0\n")
+    assert info.value.line_number == 3
 
 
 def test_long_rejects_bad_price_and_field_count():
@@ -74,12 +83,51 @@ def test_long_rejects_bad_price_and_field_count():
 
 
 def test_long_rejects_duplicate_instant():
-    with pytest.raises(DuplicateTimestamp):
+    with pytest.raises(DuplicateTimestamp, match="at lines 2 and 3$"):
         parse(
             "timestamp,price\n"
             "2016-07-01T13:00Z,1.0\n"
             "2016-07-01T13:00Z,2.0\n"
         )
+    # one instant written in two offsets; a fall-back wall hour given three times
+    with pytest.raises(DuplicateTimestamp, match="at lines 3 and 5$"):
+        parse(
+            "timestamp,price\n"
+            "2016-07-01T12:00Z,1.0\n"
+            "2016-07-01T15:00+02:00,2.0\n"
+            "2016-07-01T14:00Z,3.0\n"
+            "2016-07-01T13:00Z,4.0\n"
+        )
+    with pytest.raises(DuplicateTimestamp, match="at lines 3 and 4$"):
+        parse(
+            "timestamp,price\n"
+            "2016-10-30T02:00,1.0\n"
+            "2016-10-30T02:00,2.0\n"
+            "2016-10-30T02:00,3.0\n"
+        )
+
+
+def test_long_naive_stamp_in_spring_gap_names_its_line():
+    # 2016-03-27T02:00 does not exist in Berlin; it must not pass for 03:00
+    with pytest.raises(MalformedRow, match="does not exist in local time") as info:
+        parse(
+            "timestamp,price\n"
+            "2016-03-27T01:00,1.0\n"
+            "2016-03-27T02:00,2.0\n"
+            "2016-03-27T03:00,3.0\n"
+        )
+    assert info.value.line_number == 3
+
+
+def test_utf8_byte_order_mark_accepted(tmp_path):
+    text = "\ufefftimestamp,price\n2016-07-01T13:00Z,1.0\n"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for source in (path, text.encode("utf-8"), io.StringIO(text)):
+        series = sv.parse_price_csv(source)
+        assert series.values.tolist() == [1.0]
+    wide = "\ufeff" + WIDE_HEADER + "\n2016-07-01," + ",".join(["1.0"] * 24) + "\n"
+    assert len(sv.parse_price_csv(wide.encode("utf-8"), format="wide")) == 24
 
 
 def test_empty_inputs():
@@ -94,8 +142,8 @@ def test_wide_row_happy_path():
     series = parse(f"{WIDE_HEADER}\n2016-07-01,{values}\n", format="wide")
     assert len(series) == 24
     assert list(series.values) == [float(h) for h in range(24)]
-    hours = [ts.hour for ts in series.timestamps]
-    assert hours == list(range(24))
+    walls = series.utc_hours + series.utc_offsets()
+    assert (walls % 24).tolist() == list(range(24))
 
 
 def test_wide_spring_forward_day_has_23_observed_one_missing():
@@ -103,9 +151,8 @@ def test_wide_spring_forward_day_has_23_observed_one_missing():
     cells = ["10.0"] * 24
     cells[2] = ""
     series = parse(f"{WIDE_HEADER}\n2016-03-27,{','.join(cells)}\n", format="wide")
-    observed = [f for f in series.flags if f == "observed"]
-    assert len(observed) == 23
-    assert series.flags.count("missing") == 1
+    assert int(series.observed.sum()) == 23
+    assert int((~series.observed).sum()) == 1
 
 
 def test_wide_value_in_nonexistent_hour_rejected():

@@ -1,0 +1,114 @@
+"""Property tests of ingest: CSV round trips and gap accounting."""
+
+import io
+from collections import Counter
+from datetime import date, datetime
+from functools import lru_cache
+from zoneinfo import ZoneInfo
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import spotvol as sv
+from spotvol import DstPolicy
+from conftest import berlin_year_csv, rank2_spec
+
+POLICIES = [DstPolicy(s, f) for s in ("interpolate", "hold") for f in ("mean", "first", "last")]
+EXAMPLES = settings(max_examples=15, deadline=None, derandomize=True)
+
+
+def round_trip(series):
+    text = sv.series_to_long_csv(series)
+    return sv.parse_price_csv(
+        io.StringIO(text), market_label=series.market_label, zone=series.zone
+    )
+
+
+def as_written(values):
+    """Prices as the 6-decimal long CSV carries them."""
+    return np.array([float(f"{v:.6f}") for v in values])
+
+
+@EXAMPLES
+@given(
+    year=st.integers(1950, 2100),
+    seed=st.integers(0, 2**32 - 1),
+    mu=st.floats(0.0, 20.0),
+)
+def test_synth_long_csv_round_trip_reproduces_grid(year, seed, mu):
+    series = sv.generate(rank2_spec(year=year, mu=mu, seed=seed))
+    parsed = round_trip(series)
+    assert np.array_equal(parsed.utc_hours, series.utc_hours)
+    assert parsed.observed.all() and parsed.year == year
+
+    direct = sv.calendarize(series)
+    matrix = sv.calendarize(parsed)
+    expected = as_written(direct.flatten()).reshape((direct.n_days, 24)).T
+    assert np.array_equal(matrix.values, expected)
+    assert not matrix.imputed.any()
+    assert matrix.manifest == direct.manifest
+
+
+@EXAMPLES
+@given(
+    zone=st.sampled_from(["Europe/Berlin", "America/New_York", "Australia/Sydney", "UTC"]),
+    year=st.integers(1990, 2030),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zoned_long_csv_round_trip_matches_direct_calendarize(zone, year, seed):
+    tz = ZoneInfo(zone)
+    start, end = (
+        int(datetime(y, 1, 1, tzinfo=tz).timestamp()) // 3600 for y in (year, year + 1)
+    )
+    rng = np.random.default_rng(seed)
+    values = as_written(rng.normal(40.0, 15.0, end - start))
+    series = sv.PriceSeries(
+        np.arange(start, end), values, np.ones(end - start, dtype=bool), zone=zone
+    )
+    parsed = round_trip(series)
+    assert np.array_equal(parsed.utc_hours, series.utc_hours)
+    assert np.array_equal(parsed.values, series.values)
+    for policy in POLICIES:
+        a, b = sv.calendarize(series, policy), sv.calendarize(parsed, policy)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.imputed, b.imputed)
+        assert a.manifest == b.manifest
+
+
+@lru_cache(maxsize=None)
+def berlin_rows(year):
+    """Data rows of a Berlin wall-clock year and the indices of the rows
+    within a day of a DST transition (the days without 24 rows)."""
+    rows = berlin_year_csv(year).splitlines()[1:]
+    days = [date.fromisoformat(r[:10]) for r in rows]
+    dst_days = [d for d, n in Counter(days).items() if n != 24]
+    near = {i for i, d in enumerate(days) if any(abs((d - t).days) <= 1 for t in dst_days)}
+    return rows, frozenset(near)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    year=st.sampled_from([2015, 2016]),
+    gap_limit=st.integers(1, 8),
+    data=st.data(),
+)
+def test_holes_within_gap_limit_are_all_filled(year, gap_limit, data):
+    rows, near_dst = berlin_rows(year)
+    starts = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=6))
+    dropped = set()
+    for start in sorted(starts):
+        length = data.draw(st.integers(1, gap_limit))
+        hole = set(range(start, min(start + length, len(rows))))
+        # holes stay apart (one kept row between) and off the DST days
+        if hole & near_dst or {min(hole) - 1, *hole, max(hole) + 1} & dropped:
+            continue
+        dropped |= hole
+    assume(dropped)
+    text = "\n".join(["timestamp,price"] + [r for i, r in enumerate(rows) if i not in dropped])
+    series = sv.parse_price_csv(io.StringIO(text + "\n"))
+    for policy in POLICIES:
+        m = sv.calendarize(series, policy=policy, gap_limit=gap_limit).manifest
+        assert m["gap_hours_filled"] == len(dropped)
+        assert m["n_imputed"] == len(dropped) + 1
+        assert (m["n_dst_spring_filled"], m["n_dst_fall_collapsed"]) == (1, 1)

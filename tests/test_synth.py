@@ -31,7 +31,7 @@ def test_series_length_and_flags():
         series = sv.generate(rank2_spec(year=year))
         assert len(series) == n
         assert series.zone == "UTC"
-        assert set(series.flags) == {"observed"}
+        assert series.observed.all()
         assert series.year == year
 
 

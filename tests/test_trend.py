@@ -43,6 +43,16 @@ def test_ci_uses_t_quantile():
     assert fit.ci95[0] <= fit.slope <= fit.ci95[1]
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 11, 32, 101])
+def test_ci95_matches_scipy_stats_t_quantile(n):
+    from scipy import stats
+
+    rng = np.random.default_rng(n)
+    fit = sv.fit_trend([(2000 + k, 5.0 + rng.normal()) for k in range(n)])
+    half = float(stats.t.ppf(0.975, n - 2)) * fit.stderr
+    assert fit.ci95 == (fit.slope - half, fit.slope + half)
+
+
 def test_affine_equivariance():
     rng = np.random.default_rng(1)
     points = [(2006 + k, 5.0 + rng.normal()) for k in range(8)]
