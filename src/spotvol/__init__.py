@@ -33,7 +33,6 @@ from .ingest import (
     PriceSeries,
     calendarize,
     days_in_year,
-    hours_in_year,
     parse_price_csv,
 )
 from .lowrank import (
@@ -68,7 +67,7 @@ from .synth import (
     spec_from_json,
     u_shaped_modulation,
 )
-from .trend import TrendSeries, VolatilityTrend, fit_trend, tail_trend
+from .trend import VolatilityTrend, fit_trend
 
 __version__ = "1.0.0"
 
@@ -100,7 +99,6 @@ __all__ = [
     "TooFewPermutations",
     "TooFewResiduals",
     "TooFewTailPoints",
-    "TrendSeries",
     "VolatilityTrend",
     "WrongYearSpan",
     "analyze_residuals",
@@ -120,7 +118,6 @@ __all__ = [
     "flat_modulation",
     "flat_profile",
     "generate",
-    "hours_in_year",
     "linear_amplitude",
     "parse_price_csv",
     "permutation_test",
@@ -130,7 +127,6 @@ __all__ = [
     "spec_from_json",
     "spectrum_report",
     "tail_median",
-    "tail_trend",
     "truncate",
     "u_shaped_modulation",
     "write_json",

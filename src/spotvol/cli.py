@@ -27,12 +27,11 @@ from .pipeline import (
     analyze_trend,
     analyze_year,
     assemble_report,
-    load_series,
-    _calendarize,
+    load_matrix,
 )
 from .reports import series_to_long_csv
 from .residual_stats import DEFAULT_TRIM
-from .seasonality import DEFAULT_PERMUTATIONS
+from .seasonality import DEFAULT_PERMUTATIONS, MIN_PERMUTATIONS
 from .synth import generate, spec_from_json
 
 EXIT_OK = 0
@@ -50,24 +49,19 @@ def _trim_value(text: str) -> float:
     return q
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
 
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {n}")
+        return n
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+    return parse
 
 
 def _dst_policy(text: str) -> DstPolicy:
@@ -91,14 +85,14 @@ def _add_ingest_flags(parser: argparse.ArgumentParser):
         help="DST handling, e.g. interpolate-mean (default), hold-first, interpolate-last",
     )
     parser.add_argument(
-        "--gap-limit", type=_nonnegative_int, default=DEFAULT_GAP_LIMIT, metavar="G",
+        "--gap-limit", type=_int_at_least(0), default=DEFAULT_GAP_LIMIT, metavar="G",
         help=f"longest gap (hours) filled by interpolation (default: {DEFAULT_GAP_LIMIT})",
     )
 
 
 def _add_analysis_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
-        "--rank", type=_positive_int, default=DEFAULT_RANK,
+        "--rank", type=_int_at_least(1), default=DEFAULT_RANK,
         help=f"truncation rank of the seasonal model (default: {DEFAULT_RANK})",
     )
     parser.add_argument(
@@ -110,11 +104,13 @@ def _add_analysis_flags(parser: argparse.ArgumentParser):
         help="bulk scale estimator: plain trimmed mean (default) or censored-data MLE",
     )
     parser.add_argument(
-        "--permutations", type=_positive_int, default=DEFAULT_PERMUTATIONS, metavar="N",
-        help=f"permutations for the seasonality test (default: {DEFAULT_PERMUTATIONS})",
+        "--permutations", type=_int_at_least(MIN_PERMUTATIONS), default=DEFAULT_PERMUTATIONS,
+        metavar="N",
+        help=f"permutations for the seasonality test, at least {MIN_PERMUTATIONS}"
+        f" (default: {DEFAULT_PERMUTATIONS})",
     )
     parser.add_argument(
-        "--seed", type=_nonnegative_int, default=0,
+        "--seed", type=_int_at_least(0), default=0,
         help="base seed for the permutation generator (default: 0)",
     )
 
@@ -136,9 +132,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _cmd_ingest_check(args) -> int:
-    config = _config_from_args(args)
-    series = load_series(args.input, config)
-    matrix = _calendarize(series, config)
+    matrix = load_matrix(args.input, _config_from_args(args))
     print(json.dumps(matrix.manifest, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -159,15 +153,19 @@ def _cmd_analyze_year(args) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze_trend(args) -> int:
-    config = _config_from_args(args)
-    combined = analyze_trend(config, args.inputs)
+def _print_trend(combined: dict) -> None:
     fit = combined["trend"]
     print(
         f"years {fit['years'][0]}..{fit['years'][-1]} (n={len(fit['years'])}):"
         f" slope={fit['slope']:.4f} EUR/MWh/yr"
         f" ci95=({fit['ci95'][0]:.4f}, {fit['ci95'][1]:.4f})"
     )
+
+
+def _cmd_analyze_trend(args) -> int:
+    config = _config_from_args(args)
+    combined = analyze_trend(config, args.inputs)
+    _print_trend(combined)
     print(f"report: {Path(config.out_dir) / 'trend.json'}")
     for record in combined["errors"]:
         print(
@@ -199,14 +197,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    config = _config_from_args(args)
-    combined = assemble_report(config, args.dir)
-    fit = combined["trend"]
-    print(
-        f"years {fit['years'][0]}..{fit['years'][-1]} (n={len(fit['years'])}):"
-        f" slope={fit['slope']:.4f} EUR/MWh/yr"
-        f" ci95=({fit['ci95'][0]:.4f}, {fit['ci95'][1]:.4f})"
-    )
+    _print_trend(assemble_report(_config_from_args(args), args.dir))
     return EXIT_OK
 
 
@@ -235,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", metavar="input", help="one price CSV per year")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
-        "--jobs", type=_positive_int, default=1,
+        "--jobs", type=_int_at_least(1), default=1,
         help="years analyzed concurrently (default: 1)",
     )
     _add_ingest_flags(p)

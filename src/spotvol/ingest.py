@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from math import isfinite
 from pathlib import Path
-from zoneinfo import ZoneInfo
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .zones import (
     epoch_hour,
     iso_hour,
     years_of,
+    zone_info,
 )
 
 DEFAULT_ZONE = "Europe/Berlin"
@@ -48,10 +48,6 @@ _NAIVE = 99  # offset of a naive (wall-time) stamp; real ones lie within +-24 h
 
 def days_in_year(year: int) -> int:
     return 366 if calendar.isleap(year) else 365
-
-
-def hours_in_year(year: int) -> int:
-    return HOURS_PER_DAY * days_in_year(year)
 
 
 @dataclass(frozen=True)
@@ -139,17 +135,6 @@ class DayMatrix:
     @property
     def n_days(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def n_hours(self) -> int:
-        return self.values.size
-
-    def flatten(self) -> np.ndarray:
-        """Values in temporal hour order (day 0 hours 0..23, day 1, ...)."""
-        return self.values.ravel(order="F").copy()
-
-    def flatten_imputed(self) -> np.ndarray:
-        return self.imputed.ravel(order="F").copy()
 
 
 # --- CSV parsing ------------------------------------------------------------
@@ -292,11 +277,12 @@ def parse_price_csv(
     market wall time); wide format is ``date,h1,...,h24`` with empty cells
     marking missing hours.  Zero and negative prices are legal.
 
-    Raises MalformedRow, DuplicateTimestamp or EmptyInput.
+    Raises MalformedRow, DuplicateTimestamp, EmptyInput, or InputError for
+    an unknown zone.
     """
     if format not in ("long", "wide"):
         raise ValueError(f"unknown format {format!r}")
-    ZoneInfo(zone)  # an unknown zone fails before the source is read
+    zone_info(zone)  # an unknown zone fails before the source is read
     lines = _read_text(source).splitlines()
     if not lines or not lines[0].strip():
         raise EmptyInput("no header row")

@@ -61,16 +61,15 @@ class RankPModel:
     """Best rank-p approximation of one year matrix (Eckart-Young optimal).
 
     frobenius_error is the Frobenius distance to the original matrix and
-    equals sqrt(sum of squared discarded singular values).
+    equals sqrt(sum of squared discarded singular values).  profiles and
+    amplitudes are views of the decomposition's leading p columns.
     """
 
     p: int
     approximation: np.ndarray
     frobenius_error: float
-    spectrum_tail: np.ndarray
     profiles: np.ndarray
     amplitudes: np.ndarray
-    sigma: np.ndarray
     energy_fraction: float
 
 
@@ -141,16 +140,12 @@ def truncate(decomposition: SpectralDecomposition, p: int) -> RankPModel:
     r = decomposition.rank
     if not (1 <= p <= r):
         raise RankOutOfRange(f"truncation rank must be in [1, {r}], got {p}")
-    sigma = decomposition.singular_values
-    tail = sigma[p:].copy()
     return RankPModel(
         p=p,
         approximation=decomposition.reconstruct(p),
-        frobenius_error=float(np.sqrt(np.sum(tail**2))),
-        spectrum_tail=tail,
-        profiles=decomposition.u_columns[:, :p].copy(),
-        amplitudes=decomposition.v_columns[:, :p].copy(),
-        sigma=sigma[:p].copy(),
+        frobenius_error=float(np.sqrt(np.sum(decomposition.singular_values[p:] ** 2))),
+        profiles=decomposition.u_columns[:, :p],
+        amplitudes=decomposition.v_columns[:, :p],
         energy_fraction=decomposition.energy_fraction(p),
     )
 
@@ -181,23 +176,17 @@ def residual_series(matrix: DayMatrix, model: RankPModel) -> ResidualSeries:
     )
 
 
-def spectrum_report(decompositions: dict[int, SpectralDecomposition]) -> list[dict]:
+def spectrum_report(spectra: dict[int, tuple]) -> list[dict]:
     """Year-by-component spectrum table, raw and normalized by sigma_1.
 
-    Rows are dicts with keys year, k (1-based), sigma, sigma_normalized,
-    ordered by year then k; ready for CSV export.
+    spectra maps each year to its (sigma, sigma_normalized) sequences,
+    e.g. a SpectralDecomposition's singular_values and sigma_normalized,
+    or the lists in a year report.  Rows are dicts with keys year, k
+    (1-based), sigma, sigma_normalized, ordered by year then k; ready for
+    CSV export.
     """
-    rows = []
-    for year in sorted(decompositions):
-        dec = decompositions[year]
-        norm = dec.sigma_normalized
-        for k in range(dec.rank):
-            rows.append(
-                {
-                    "year": int(year),
-                    "k": k + 1,
-                    "sigma": float(dec.singular_values[k]),
-                    "sigma_normalized": float(norm[k]),
-                }
-            )
-    return rows
+    return [
+        {"year": int(year), "k": k, "sigma": float(s), "sigma_normalized": float(sn)}
+        for year in sorted(spectra)
+        for k, (s, sn) in enumerate(zip(*spectra[year]), start=1)
+    ]

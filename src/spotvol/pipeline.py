@@ -20,6 +20,7 @@ from . import lowrank, reports, residual_stats, seasonality, trend
 from .errors import DegenerateDesign, InputError, SpotvolError
 from .ingest import (
     DEFAULT_GAP_LIMIT,
+    DEFAULT_ZONE,
     DayMatrix,
     DstPolicy,
     PriceSeries,
@@ -76,24 +77,20 @@ def _stage(name: str):
         raise
 
 
-def load_series(source, config: RunConfig) -> PriceSeries:
-    with _stage("ingest"):
-        kwargs = {"format": config.input_format}
-        if config.zone is not None:
-            kwargs["zone"] = config.zone
-        return parse_price_csv(source, **kwargs)
-
-
-def _calendarize(series: PriceSeries, config: RunConfig) -> DayMatrix:
+def load_matrix(source, config: RunConfig) -> DayMatrix:
+    """Parse a CSV path (or take an already parsed PriceSeries) and
+    calendarize it into the year's day matrix."""
+    if isinstance(source, PriceSeries):
+        series = source
+    else:
+        zone = DEFAULT_ZONE if config.zone is None else config.zone
+        with _stage("ingest"):
+            series = parse_price_csv(source, format=config.input_format, zone=zone)
     with _stage("calendarize"):
         return calendarize(series, policy=config.dst_policy, gap_limit=config.gap_limit)
 
 
-def analyze_year(
-    config: RunConfig,
-    year_input,
-    write_files: bool | None = None,
-) -> dict:
+def analyze_year(config: RunConfig, year_input) -> dict:
     """Run the full single-year analysis and return the report dict.
 
     year_input may be a CSV path, an already parsed PriceSeries, or a
@@ -101,18 +98,13 @@ def analyze_year(
     config.out_dir whenever it is set; the report's "files" section lists
     them by name.
     """
-    if write_files is None:
-        write_files = config.out_dir is not None
     source_name = None
     if isinstance(year_input, DayMatrix):
         matrix = year_input
     else:
-        if isinstance(year_input, PriceSeries):
-            series = year_input
-        else:
+        if not isinstance(year_input, PriceSeries):
             source_name = Path(year_input).name
-            series = load_series(year_input, config)
-        matrix = _calendarize(series, config)
+        matrix = load_matrix(year_input, config)
 
     with _stage("decompose"):
         decomposition = lowrank.decompose(matrix)
@@ -124,13 +116,11 @@ def analyze_year(
             residuals, q=config.trim, method=config.estimator
         )
     with _stage("seasonality"):
-        l_observed = seasonality.angular_momentum(residuals)
         test = seasonality.permutation_test(
             residuals, n_permutations=config.permutations, seed=config.seed
         )
 
     year = matrix.year
-    spectrum_rows = lowrank.spectrum_report({year: decomposition})
     file_names = {
         "spectrum": f"spectrum_{year}.csv",
         "profiles": f"profiles_{year}.csv",
@@ -171,12 +161,10 @@ def analyze_year(
         "files": file_names,
     }
 
-    if write_files:
-        if config.out_dir is None:
-            raise ValueError("write_files requires config.out_dir")
+    if config.out_dir is not None:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        reports.write_spectrum_csv(out / file_names["spectrum"], spectrum_rows)
+        reports.write_spectrum_csv(out / file_names["spectrum"], _spectrum_rows([report]))
         reports.write_profiles_csv(out / file_names["profiles"], model)
         reports.write_amplitudes_csv(out / file_names["amplitudes"], model)
         reports.write_probplot_csv(out / file_names["probplot"], analysis.probplot)
@@ -202,128 +190,108 @@ def trend_from_year_reports(year_reports: list[dict]) -> tuple[dict, list[dict]]
     if len(mu_points) < 3:
         raise DegenerateDesign(f"need at least 3 analyzed years, got {len(mu_points)}")
     fit = trend.fit_trend(mu_points)
-
-    tail_points = [
-        (r["year"], r["residuals"]["tail_median"])
+    # the top-tail medians are only collected, in year order; no law is fitted
+    tails = {
+        r["year"]: float(r["residuals"]["tail_median"])
         for r in year_reports
         if r["residuals"]["tail_median"] is not None
-    ]
-    tail = trend.tail_trend(tail_points)
-    tail_by_year = dict(zip(tail.years, tail.values))
+    }
 
-    rows = []
-    for year, mu_hat in mu_points:
-        rows.append(
-            {
-                "year": year,
-                "mu_hat": mu_hat,
-                "fitted": float(fit.fitted(year)),
-                "tail_median": tail_by_year.get(year),
-            }
-        )
+    rows = [
+        {
+            "year": year,
+            "mu_hat": mu_hat,
+            "fitted": float(fit.fitted(year)),
+            "tail_median": tails.get(year),
+        }
+        for year, mu_hat in mu_points
+    ]
     report = {
-        "years": [r["year"] for r in year_reports],
+        "years": years,
         "mu_hat": {str(y): m for y, m in mu_points},
         "slope": fit.slope,
         "intercept": fit.intercept,
         "ci95": [fit.ci95[0], fit.ci95[1]],
         "stderr": fit.stderr,
         "dof": fit.dof,
-        "tail_median": {str(y): v for y, v in zip(tail.years, tail.values)},
+        "tail_median": {str(y): v for y, v in tails.items()},
     }
     return report, rows
+
+
+def _spectrum_rows(year_reports: list[dict]) -> list[dict]:
+    spectra = {r["year"]: r["spectrum"] for r in year_reports}
+    return lowrank.spectrum_report(
+        {year: (s["sigma"], s["sigma_normalized"]) for year, s in spectra.items()}
+    )
+
+
+def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict], out_dir) -> dict:
+    """Fit the trend and build the combined report; write trend.csv,
+    spectrum.csv and trend.json to out_dir when it is set."""
+    trend_report, rows = trend_from_year_reports(year_reports)
+    combined = {
+        "config": echo,
+        "years": trend_report["years"],
+        "trend": trend_report,
+        "errors": errors,
+        "year_files": {str(r["year"]): f"year_{r['year']}.json" for r in year_reports},
+    }
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        reports.write_trend_csv(out / "trend.csv", rows)
+        reports.write_spectrum_csv(out / "spectrum.csv", _spectrum_rows(year_reports))
+        reports.write_json(out / "trend.json", combined)
+    return combined
 
 
 def analyze_trend(config: RunConfig, year_inputs: list) -> dict:
     """Analyze several year inputs and fit the multi-year volatility trend.
 
-    Each year is analyzed independently (in parallel up to config.jobs);
+    Each year is analyzed independently on a pool of config.jobs threads;
     a failing year is recorded under "errors" without aborting the others.
     The combined report (trend fit, per-year summaries, error records) is
-    written to trend.json / trend.csv when config.out_dir is set.
+    written to trend.json / trend.csv / spectrum.csv when config.out_dir
+    is set.
     """
-    def run_one(item) -> dict:
-        return analyze_year(config, item)
+    def run_one(item) -> tuple[dict | None, SpotvolError | None]:
+        try:
+            return analyze_year(config, item), None
+        except SpotvolError as exc:
+            return None, exc
 
-    results: list[dict] = []
-    errors: list[dict] = []
-    jobs = max(1, int(config.jobs))
-    if jobs == 1 or len(year_inputs) <= 1:
-        outcomes = []
-        for item in year_inputs:
-            try:
-                outcomes.append((item, run_one(item), None))
-            except SpotvolError as exc:
-                outcomes.append((item, None, exc))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_one, item) for item in year_inputs]
-            outcomes = []
-            for item, future in zip(year_inputs, futures):
-                try:
-                    outcomes.append((item, future.result(), None))
-                except SpotvolError as exc:
-                    outcomes.append((item, None, exc))
-
-    for item, report, exc in outcomes:
-        if exc is None:
-            results.append(report)
-        else:
-            errors.append(
-                {
-                    "input": Path(item).name if isinstance(item, (str, Path)) else str(item),
-                    "stage": exc.stage,
-                    "error": type(exc).__name__,
-                    "category": "input" if isinstance(exc, InputError) else "analysis",
-                    "message": str(exc),
-                }
-            )
-
-    trend_report, rows = trend_from_year_reports(results) if len(results) >= 3 else (None, [])
-    if trend_report is None:
-        combined = {
-            "config": config.echo(),
-            "years": sorted(r["year"] for r in results),
-            "trend": None,
-            "errors": errors,
+    with ThreadPoolExecutor(max_workers=max(1, int(config.jobs))) as pool:
+        outcomes = list(pool.map(run_one, year_inputs))
+    results = [report for report, _ in outcomes if report is not None]
+    errors = [
+        {
+            "input": Path(item).name if isinstance(item, (str, Path)) else str(item),
+            "stage": exc.stage,
+            "error": type(exc).__name__,
+            "category": "input" if isinstance(exc, InputError) else "analysis",
+            "message": str(exc),
         }
+        for item, (_, exc) in zip(year_inputs, outcomes)
+        if exc is not None
+    ]
+
+    if len(results) < 3:
         if config.out_dir is not None:
             out = Path(config.out_dir)
             out.mkdir(parents=True, exist_ok=True)
+            combined = {
+                "config": config.echo(),
+                "years": sorted(r["year"] for r in results),
+                "trend": None,
+                "errors": errors,
+            }
             reports.write_json(out / "trend.json", combined)
         raise DegenerateDesign(
             f"need at least 3 analyzable years, got {len(results)} "
             f"({len(errors)} failed)"
         )
-
-    combined = {
-        "config": config.echo(),
-        "years": trend_report["years"],
-        "trend": trend_report,
-        "errors": errors,
-        "year_files": {str(r["year"]): f"year_{r['year']}.json" for r in results},
-    }
-    if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        reports.write_trend_csv(out / "trend.csv", rows)
-        spectra = {}
-        for r in results:
-            spectra[r["year"]] = [
-                {
-                    "year": r["year"],
-                    "k": k + 1,
-                    "sigma": s,
-                    "sigma_normalized": sn,
-                }
-                for k, (s, sn) in enumerate(
-                    zip(r["spectrum"]["sigma"], r["spectrum"]["sigma_normalized"])
-                )
-            ]
-        all_rows = [row for year in sorted(spectra) for row in spectra[year]]
-        reports.write_spectrum_csv(out / "spectrum.csv", all_rows)
-        reports.write_json(out / "trend.json", combined)
-    return combined
+    return _write_trend_report(config.echo(), results, errors, config.out_dir)
 
 
 def load_year_report(path) -> dict:
@@ -333,14 +301,15 @@ def load_year_report(path) -> dict:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read year report {path}: {exc}") from exc
-    for key in ("year", "residuals"):
+    for key in ("year", "residuals", "spectrum"):
         if key not in doc:
             raise InputError(f"{path} is not a year report (missing {key!r})")
     return doc
 
 
 def assemble_report(config: RunConfig, report_dir) -> dict:
-    """Rebuild trend.json / trend.csv from year_<Y>.json files in a directory."""
+    """Rebuild trend.json / trend.csv / spectrum.csv from the year_<Y>.json
+    files in a directory."""
     report_dir = Path(report_dir)
     paths = sorted(report_dir.glob("year_*.json"))
     if not paths:
@@ -354,16 +323,5 @@ def assemble_report(config: RunConfig, report_dir) -> dict:
             raise InputError(
                 f"{path} was produced with a different config than {paths[0].name}"
             )
-    trend_report, rows = trend_from_year_reports(year_reports)
-    combined = {
-        "config": echo,
-        "years": trend_report["years"],
-        "trend": trend_report,
-        "errors": [],
-        "year_files": {str(r["year"]): f"year_{r['year']}.json" for r in year_reports},
-    }
-    out = Path(config.out_dir) if config.out_dir is not None else report_dir
-    out.mkdir(parents=True, exist_ok=True)
-    reports.write_trend_csv(out / "trend.csv", rows)
-    reports.write_json(out / "trend.json", combined)
-    return combined
+    out = report_dir if config.out_dir is None else config.out_dir
+    return _write_trend_report(echo, year_reports, [], out)

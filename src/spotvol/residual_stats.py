@@ -134,7 +134,6 @@ def analyze_residuals(
     residuals: ResidualSeries,
     q: float = DEFAULT_TRIM,
     method: str = "trimmed",
-    with_probplot: bool = True,
 ) -> ResidualAnalysis:
     """Run the full residual characterization: bulk fit, tail median, probplot.
 
@@ -147,6 +146,6 @@ def analyze_residuals(
         analysis.tail_median = tail_median(residuals, q=q)
     except TooFewTailPoints:
         analysis.tail_median = None
-    if with_probplot and analysis.mu_hat > 0:
+    if analysis.mu_hat > 0:
         analysis.probplot = probplot_points(residuals, analysis.mu_hat)
     return analysis

@@ -2,8 +2,8 @@
 
 The per-year exponential scales mu_hat are regressed on calendar year by
 ordinary least squares with a t-based 95% confidence interval for the
-slope.  The top-tail medians are only collected into an ordered series;
-no law is fitted to them.
+slope.  The top-tail medians are only collected per year (see
+pipeline.trend_from_year_reports); no law is fitted to them.
 """
 
 from __future__ import annotations
@@ -34,17 +34,6 @@ class VolatilityTrend:
 
     def fitted(self, year) -> np.ndarray:
         return self.intercept + self.slope * np.asarray(year, dtype=float)
-
-
-@dataclass
-class TrendSeries:
-    """Per-year values ordered by year, for plotting; no model attached."""
-
-    years: list[int]
-    values: list[float]
-
-    def __len__(self) -> int:
-        return len(self.years)
 
 
 def fit_trend(points: list[tuple[int, float]]) -> VolatilityTrend:
@@ -83,13 +72,4 @@ def fit_trend(points: list[tuple[int, float]]) -> VolatilityTrend:
         ci95=(slope - half, slope + half),
         stderr=stderr,
         dof=dof,
-    )
-
-
-def tail_trend(points: list[tuple[int, float]]) -> TrendSeries:
-    """Order (year, tail_median) pairs by year; purely descriptive."""
-    ordered = sorted((int(y), float(v)) for y, v in points)
-    return TrendSeries(
-        years=[y for y, _ in ordered],
-        values=[v for _, v in ordered],
     )

@@ -9,7 +9,7 @@ day the data touch, in place of per-row datetime arithmetic.
 from __future__ import annotations
 
 from datetime import date, datetime, timedelta, timezone
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
@@ -19,6 +19,14 @@ HOURS_PER_DAY = 24
 EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # probed days, 0001-01-02 to 9999-12-30, keep any UTC offset inside datetime's range
 _DAY_RANGE = (2 - EPOCH_ORDINAL, date.max.toordinal() - 1 - EPOCH_ORDINAL)
+
+
+def zone_info(zone: str) -> ZoneInfo:
+    """The named zone; InputError if the time-zone database lacks it."""
+    try:
+        return ZoneInfo(zone)
+    except (ZoneInfoNotFoundError, ValueError):
+        raise InputError(f"unknown time zone {zone!r}") from None
 
 
 def epoch_hour(day: date) -> int:
@@ -56,7 +64,7 @@ class ZoneOffsets:
     """
 
     def __init__(self, zone: str, hours: np.ndarray):
-        tz = ZoneInfo(zone)
+        tz = zone_info(zone)
         days = np.unique(np.asarray(hours, dtype=np.int64) // HOURS_PER_DAY)
         days = np.unique(np.clip(days[:, None] + np.arange(-2, 4), *_DAY_RANGE))
         offsets = self._probe(tz, days * HOURS_PER_DAY)

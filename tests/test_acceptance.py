@@ -169,7 +169,7 @@ def test_criterion_7_real_data_reproduction():
         pytest.skip(f"criterion 7: missing files in SPOTVOL_DATA_DIR: {missing}")
 
     config = sv.RunConfig()
-    reports = [sv.analyze_year(config, str(f), write_files=False) for f in files]
+    reports = [sv.analyze_year(config, str(f)) for f in files]
     by_year = {r["year"]: r for r in reports}
     r2016 = by_year[2016]
     mu_2016 = r2016["residuals"]["mu_hat"]

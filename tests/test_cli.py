@@ -168,6 +168,16 @@ def test_analyze_trend_single_bad_year_degrades(tmp_path, capsys):
     assert record["category"] == "input"
     err = capsys.readouterr().err
     assert "prices_2016.csv" in err
+    # the pool of two threads records the same errors and writes the same files
+    parallel = tmp_path / "degraded_jobs2"
+    code = main([
+        "analyze-trend", *files, str(bad), "--zone", "UTC", "--out", str(parallel), "--jobs", "2",
+    ])
+    assert code == 2
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in parallel.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
 def test_report_rebuilds_trend_from_year_reports(tmp_path):
@@ -183,6 +193,7 @@ def test_report_rebuilds_trend_from_year_reports(tmp_path):
     # echo included, even though `report` itself takes no analysis flags.
     assert (out / "trend.json").read_bytes() == (rebuilt / "trend.json").read_bytes()
     assert (out / "trend.csv").read_bytes() == (rebuilt / "trend.csv").read_bytes()
+    assert (out / "spectrum.csv").read_bytes() == (rebuilt / "spectrum.csv").read_bytes()
 
 
 def test_trend_from_reports_mu_4_3_2_exact():
@@ -243,6 +254,26 @@ def test_gap_limit_and_dst_policy_flags(tmp_path, capsys):
     assert manifest["policy"]["gap_limit"] == 8
     with pytest.raises(SystemExit):
         main(["ingest-check", str(trimmed), "--dst-policy", "weird"])
+
+
+def test_unknown_zone_is_an_input_error(tmp_path, capsys):
+    csv_path = make_year_csv(tmp_path)
+    capsys.readouterr()
+    assert main(["ingest-check", str(csv_path), "--zone", "Mars/Olympus"]) == 2
+    assert capsys.readouterr().err == "error [ingest]: unknown time zone 'Mars/Olympus'\n"
+
+
+def test_too_few_permutations_rejected_before_any_work(tmp_path, capsys):
+    files = [
+        str(make_year_csv(tmp_path, year, mu, seed))
+        for year, mu, seed in ((2014, 4.0, 1), (2015, 3.0, 2), (2016, 2.0, 3))
+    ]
+    out = tmp_path / "trend"
+    with pytest.raises(SystemExit) as info:
+        main(["analyze-trend", *files, "--zone", "UTC", "--out", str(out), "--permutations", "50"])
+    assert info.value.code == 2
+    assert not out.exists()
+    assert "must be >= 100, got 50" in capsys.readouterr().err
 
 
 def test_library_analyze_year_without_files(tmp_path):

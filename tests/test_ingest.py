@@ -250,8 +250,14 @@ def test_edge_gap_filled_with_nearest():
 def test_flatten_round_trip():
     series = sv.generate(rank2_spec(seed=4))
     matrix = sv.calendarize(series)
-    assert np.array_equal(matrix.flatten(), series.values)
-    assert not matrix.flatten_imputed().any()
+    assert np.array_equal(matrix.values.ravel(order="F"), series.values)
+    assert not matrix.imputed.any()
+
+
+def test_unknown_zone_of_a_built_series_is_an_input_error():
+    series = sv.PriceSeries([0], [1.0], [True], zone="Mars/Olympus")
+    with pytest.raises(sv.InputError, match="unknown time zone 'Mars/Olympus'"):
+        sv.calendarize(series)
 
 
 def test_wrong_year_span():

@@ -65,7 +65,10 @@ def test_truncate_full_rank_is_exact():
     model = sv.truncate(dec, dec.rank)
     assert model.frobenius_error == 0.0
     assert np.allclose(model.approximation, a, atol=1e-10)
-    assert model.spectrum_tail.size == 0
+    assert dec.singular_values[model.p:].size == 0
+    assert model.profiles.shape == (24, dec.rank) and model.amplitudes.shape == (40, dec.rank)
+    assert np.shares_memory(model.profiles, dec.u_columns)
+    assert np.shares_memory(model.amplitudes, dec.v_columns)
 
 
 def test_truncate_rank_out_of_range():
@@ -162,7 +165,11 @@ def test_non_finite_cells_reported():
 
 def test_spectrum_report_rows():
     rank1 = np.outer(np.arange(1.0, 25.0), np.ones(30))
-    rows = sv.spectrum_report({2015: sv.decompose(rank1), 2014: sv.decompose(rank1)})
+    a, b = sv.decompose(rank1), sv.decompose(rank1)
+    rows = sv.spectrum_report({
+        2015: (a.singular_values, a.sigma_normalized),
+        2014: (b.singular_values, b.sigma_normalized),
+    })
     assert [r["year"] for r in rows[:2]] == [2014, 2014]
     first = [r for r in rows if r["year"] == 2014]
     assert first[0]["k"] == 1 and first[0]["sigma_normalized"] == 1.0
@@ -170,6 +177,9 @@ def test_spectrum_report_rows():
     # identical input years produce identical rows
     second = [r for r in rows if r["year"] == 2015]
     assert [(r["k"], r["sigma"]) for r in first] == [(r["k"], r["sigma"]) for r in second]
+    # the float lists of a year report give the same rows
+    lists = {2014: (b.singular_values.tolist(), b.sigma_normalized.tolist())}
+    assert sv.spectrum_report(lists) == first
 
 
 def test_energy_fraction_monotone():

@@ -1,10 +1,11 @@
-"""OLS volatility trend with t-based confidence interval; tail series."""
+"""OLS volatility trend with t-based confidence interval; tail medians by year."""
 
 import numpy as np
 import pytest
 
 import spotvol as sv
 from spotvol import DegenerateDesign
+from spotvol.pipeline import trend_from_year_reports
 
 
 def test_perfect_line_recovered_exactly():
@@ -89,20 +90,29 @@ def test_residual_orthogonality():
     assert abs(resid @ (years - years.mean())) < 1e-9 * scale
 
 
-def test_tail_trend_orders_by_year():
-    series = sv.tail_trend([(2016, 9.0), (2014, 20.0), (2015, 15.0)])
-    assert series.years == [2014, 2015, 2016]
-    assert series.values == [20.0, 15.0, 9.0]
-    assert len(series) == 3
+def fake_report(year, mu, tail):
+    return {"year": year, "residuals": {"mu_hat": mu, "tail_median": tail}}
 
 
-def test_tail_trend_single_pair():
-    series = sv.tail_trend([(2016, 9.1)])
-    assert series.years == [2016]
-    assert series.values == [9.1]
+def test_trend_from_year_reports_orders_tail_medians():
+    # reports arriving out of year order
+    report, rows = trend_from_year_reports(
+        [fake_report(2016, 2.0, 9.0), fake_report(2014, 4.0, 20.0), fake_report(2015, 3.0, 15.0)]
+    )
+    assert list(report["tail_median"]) == ["2014", "2015", "2016"]
+    assert list(report["tail_median"].values()) == [20.0, 15.0, 9.0]
+    assert [(r["year"], r["tail_median"]) for r in rows] == [
+        (2014, 20.0), (2015, 15.0), (2016, 9.0)
+    ]
 
+    # one tail median among years without one
+    report, rows = trend_from_year_reports(
+        [fake_report(2016, 2.0, 9.1), fake_report(2014, 4.0, None), fake_report(2015, 3.0, None)]
+    )
+    assert report["tail_median"] == {"2016": 9.1}
+    assert [r["tail_median"] for r in rows] == [None, None, 9.1]
 
-def test_tail_trend_keeps_monotone_shape():
-    pairs = [(2006 + k, 20.0 - k) for k in range(6)]
-    series = sv.tail_trend(pairs)
-    assert all(b < a for a, b in zip(series.values, series.values[1:]))
+    # a monotone tail keeps its shape whatever order the reports come in
+    shuffled = [fake_report(2006 + k, 5.0, 20.0 - k) for k in (3, 0, 5, 1, 4, 2)]
+    values = list(trend_from_year_reports(shuffled)[0]["tail_median"].values())
+    assert all(b < a for a, b in zip(values, values[1:]))
