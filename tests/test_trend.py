@@ -94,17 +94,20 @@ def fake_report(year, mu, tail):
     return {"year": year, "residuals": {"mu_hat": mu, "tail_median": tail}}
 
 
-def test_trend_from_year_reports_orders_tail_medians():
+def test_tail_trend_orders_by_year():
     # reports arriving out of year order
     report, rows = trend_from_year_reports(
         [fake_report(2016, 2.0, 9.0), fake_report(2014, 4.0, 20.0), fake_report(2015, 3.0, 15.0)]
     )
     assert list(report["tail_median"]) == ["2014", "2015", "2016"]
     assert list(report["tail_median"].values()) == [20.0, 15.0, 9.0]
+    assert len(report["tail_median"]) == 3
     assert [(r["year"], r["tail_median"]) for r in rows] == [
         (2014, 20.0), (2015, 15.0), (2016, 9.0)
     ]
 
+
+def test_tail_trend_single_pair():
     # one tail median among years without one
     report, rows = trend_from_year_reports(
         [fake_report(2016, 2.0, 9.1), fake_report(2014, 4.0, None), fake_report(2015, 3.0, None)]
@@ -112,7 +115,10 @@ def test_trend_from_year_reports_orders_tail_medians():
     assert report["tail_median"] == {"2016": 9.1}
     assert [r["tail_median"] for r in rows] == [None, None, 9.1]
 
+
+def test_tail_trend_keeps_monotone_shape():
     # a monotone tail keeps its shape whatever order the reports come in
     shuffled = [fake_report(2006 + k, 5.0, 20.0 - k) for k in (3, 0, 5, 1, 4, 2)]
     values = list(trend_from_year_reports(shuffled)[0]["tail_median"].values())
+    assert len(values) == 6
     assert all(b < a for a, b in zip(values, values[1:]))
