@@ -14,24 +14,17 @@ numerical or statistical failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import AnalysisError, InputError
-from .ingest import DEFAULT_GAP_LIMIT, DEFAULT_ZONE, DstPolicy
-from .pipeline import (
-    DEFAULT_RANK,
-    RunConfig,
-    analyze_trend,
-    analyze_year,
-    assemble_report,
-    load_matrix,
-)
+from .errors import InputError, SpotvolError
+from .ingest import DEFAULT_ZONE, DstPolicy
+from .pipeline import RunConfig, analyze_trend, analyze_year, assemble_report, load_matrix
 from .reports import series_to_long_csv
-from .residual_stats import DEFAULT_TRIM
-from .seasonality import DEFAULT_PERMUTATIONS, MIN_PERMUTATIONS
+from .seasonality import MIN_PERMUTATIONS
 from .synth import generate, spec_from_json
 
 EXIT_OK = 0
@@ -71,63 +64,67 @@ def _dst_policy(text: str) -> DstPolicy:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_ingest_flags(parser: argparse.ArgumentParser):
+def _out_dir(text: str) -> Path:
+    if not text:
+        raise argparse.ArgumentTypeError("output directory must not be empty")
+    return Path(text)
+
+
+def _add_out_dir_flag(parser: argparse.ArgumentParser, text: str, required: bool = True):
     parser.add_argument(
-        "--format", choices=("long", "wide"), default="long",
-        help="input CSV layout (default: long, header timestamp,price)",
+        "--out", dest="out_dir", type=_out_dir, metavar="OUT", required=required, help=text
+    )
+
+
+def _add_ingest_flags(parser: argparse.ArgumentParser, config: RunConfig):
+    parser.add_argument(
+        "--format", dest="input_format", choices=("long", "wide"), default=config.input_format,
+        help=f"input CSV layout (default: {config.input_format}, header timestamp,price)",
     )
     parser.add_argument(
         "--zone", default=DEFAULT_ZONE,
         help=f"market time zone for wall-clock timestamps (default: {DEFAULT_ZONE})",
     )
     parser.add_argument(
-        "--dst-policy", type=_dst_policy, default=DstPolicy(), metavar="SPRING-FALL",
-        help="DST handling, e.g. interpolate-mean (default), hold-first, interpolate-last",
+        "--dst-policy", type=_dst_policy, default=config.dst_policy, metavar="SPRING-FALL",
+        help=f"DST handling, e.g. {config.dst_policy.label()} (default), hold-first,"
+        " interpolate-last",
     )
     parser.add_argument(
-        "--gap-limit", type=_int_at_least(0), default=DEFAULT_GAP_LIMIT, metavar="G",
-        help=f"longest gap (hours) filled by interpolation (default: {DEFAULT_GAP_LIMIT})",
+        "--gap-limit", type=_int_at_least(0), default=config.gap_limit, metavar="G",
+        help=f"longest gap (hours) filled by interpolation (default: {config.gap_limit})",
     )
 
 
-def _add_analysis_flags(parser: argparse.ArgumentParser):
+def _add_analysis_flags(parser: argparse.ArgumentParser, config: RunConfig):
     parser.add_argument(
-        "--rank", type=_int_at_least(1), default=DEFAULT_RANK,
-        help=f"truncation rank of the seasonal model (default: {DEFAULT_RANK})",
+        "--rank", type=_int_at_least(1), default=config.rank,
+        help=f"truncation rank of the seasonal model (default: {config.rank})",
     )
     parser.add_argument(
-        "--trim", type=_trim_value, default=DEFAULT_TRIM, metavar="Q",
-        help=f"bulk fraction fitted by the exponential (default: {DEFAULT_TRIM})",
+        "--trim", type=_trim_value, default=config.trim, metavar="Q",
+        help=f"bulk fraction fitted by the exponential (default: {config.trim})",
     )
     parser.add_argument(
-        "--estimator", choices=("trimmed", "censored"), default="trimmed",
+        "--estimator", choices=("trimmed", "censored"), default=config.estimator,
         help="bulk scale estimator: plain trimmed mean (default) or censored-data MLE",
     )
     parser.add_argument(
-        "--permutations", type=_int_at_least(MIN_PERMUTATIONS), default=DEFAULT_PERMUTATIONS,
+        "--permutations", type=_int_at_least(MIN_PERMUTATIONS), default=config.permutations,
         metavar="N",
         help=f"permutations for the seasonality test, at least {MIN_PERMUTATIONS}"
-        f" (default: {DEFAULT_PERMUTATIONS})",
+        f" (default: {config.permutations})",
     )
     parser.add_argument(
-        "--seed", type=_int_at_least(0), default=0,
-        help="base seed for the permutation generator (default: 0)",
+        "--seed", type=_int_at_least(0), default=config.seed,
+        help=f"base seed for the permutation generator (default: {config.seed})",
     )
 
 
 def _config_from_args(args) -> RunConfig:
+    given = vars(args)
     return RunConfig(
-        rank=getattr(args, "rank", DEFAULT_RANK),
-        trim=getattr(args, "trim", DEFAULT_TRIM),
-        estimator=getattr(args, "estimator", "trimmed"),
-        permutations=getattr(args, "permutations", DEFAULT_PERMUTATIONS),
-        seed=getattr(args, "seed", 0),
-        dst_policy=getattr(args, "dst_policy", DstPolicy()),
-        gap_limit=getattr(args, "gap_limit", DEFAULT_GAP_LIMIT),
-        input_format=getattr(args, "format", "long"),
-        zone=getattr(args, "zone", None),
-        jobs=getattr(args, "jobs", 1),
-        out_dir=Path(args.out) if getattr(args, "out", None) else None,
+        **{f.name: given[f.name] for f in dataclasses.fields(RunConfig) if f.name in given}
     )
 
 
@@ -148,7 +145,7 @@ def _cmd_analyze_year(args) -> int:
         f" tail_median={'n/a' if tail is None else format(tail, '.4f')}"
         f" l_observed={season['l_observed']:.4f} p_value={season['p_value']:.6f}"
     )
-    report_path = Path(config.out_dir) / f"year_{report['year']}.json"
+    report_path = config.out_dir / f"year_{report['year']}.json"
     print(f"report: {report_path}")
     return EXIT_OK
 
@@ -166,7 +163,7 @@ def _cmd_analyze_trend(args) -> int:
     config = _config_from_args(args)
     combined = analyze_trend(config, args.inputs)
     _print_trend(combined)
-    print(f"report: {Path(config.out_dir) / 'trend.json'}")
+    print(f"report: {config.out_dir / 'trend.json'}")
     for record in combined["errors"]:
         print(
             f"failed: {record['input']} [{record['stage']}] {record['message']}",
@@ -209,28 +206,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"spotvol {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = RunConfig()
 
     p = sub.add_parser("ingest-check", help="validate one input file and print its manifest")
     p.add_argument("input", help="price CSV file")
-    _add_ingest_flags(p)
+    _add_ingest_flags(p, defaults)
     p.set_defaults(func=_cmd_ingest_check)
 
     p = sub.add_parser("analyze-year", help="run the full analysis for one year")
     p.add_argument("input", help="price CSV file covering one calendar year")
-    p.add_argument("--out", required=True, help="output directory for report and plot CSVs")
-    _add_ingest_flags(p)
-    _add_analysis_flags(p)
+    _add_out_dir_flag(p, "output directory for report and plot CSVs")
+    _add_ingest_flags(p, defaults)
+    _add_analysis_flags(p, defaults)
     p.set_defaults(func=_cmd_analyze_year)
 
     p = sub.add_parser("analyze-trend", help="analyze several years and fit the trend")
     p.add_argument("inputs", nargs="+", metavar="input", help="one price CSV per year")
-    p.add_argument("--out", required=True, help="output directory")
+    _add_out_dir_flag(p, "output directory")
     p.add_argument(
-        "--jobs", type=_int_at_least(1), default=1,
-        help="years analyzed concurrently (default: 1)",
+        "--jobs", type=_int_at_least(1), default=defaults.jobs,
+        help=f"years analyzed concurrently (default: {defaults.jobs})",
     )
-    _add_ingest_flags(p)
-    _add_analysis_flags(p)
+    _add_ingest_flags(p, defaults)
+    _add_analysis_flags(p, defaults)
     p.set_defaults(func=_cmd_analyze_trend)
 
     p = sub.add_parser("synth", help="generate a synthetic year from a JSON spec")
@@ -240,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="rebuild trend report from year_<Y>.json files")
     p.add_argument("dir", help="directory holding year_<Y>.json reports")
-    p.add_argument("--out", help="output directory (default: same as input dir)")
+    _add_out_dir_flag(p, "output directory (default: same as input dir)", required=False)
     p.set_defaults(func=_cmd_report)
     return parser
 
@@ -249,14 +247,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except SpotvolError as exc:
         stage = f" [{exc.stage}]" if exc.stage else ""
         print(f"error{stage}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except AnalysisError as exc:
-        stage = f" [{exc.stage}]" if exc.stage else ""
-        print(f"error{stage}: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+        return EXIT_INPUT if isinstance(exc, InputError) else EXIT_ANALYSIS
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

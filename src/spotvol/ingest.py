@@ -128,7 +128,6 @@ class DayMatrix:
 
     values: np.ndarray
     imputed: np.ndarray
-    day_labels: list[date]
     year: int
     manifest: dict = field(default_factory=dict)
 
@@ -359,7 +358,6 @@ def calendarize(
 
     n_days = days_in_year(year)
     jan1 = date(year, 1, 1)
-    day_labels = [date.fromordinal(jan1.toordinal() + d) for d in range(n_days)]
     n = HOURS_PER_DAY * n_days
     start = epoch_hour(jan1)
     grid = start + np.arange(n)
@@ -429,4 +427,4 @@ def calendarize(
         "gap_hours_filled": gap_hours,
         "policy": {"spring": policy.spring, "fall": policy.fall, "gap_limit": int(gap_limit)},
     }
-    return DayMatrix(values, imputed, day_labels, year, manifest)
+    return DayMatrix(values, imputed, year, manifest)

@@ -100,10 +100,6 @@ class ResidualSeries:
     def observed_abs(self) -> np.ndarray:
         return np.abs(self.values[~self.imputed])
 
-    @property
-    def all_abs(self) -> np.ndarray:
-        return np.abs(self.values)
-
 
 def _as_grid(matrix) -> np.ndarray:
     a = matrix.values if isinstance(matrix, DayMatrix) else np.asarray(matrix, dtype=float)
@@ -161,17 +157,10 @@ def residual_series(matrix: DayMatrix, model: RankPModel) -> ResidualSeries:
         raise ShapeMismatch(
             f"approximation shape {model.approximation.shape} does not match matrix {a.shape}"
         )
-    resid = a - model.approximation
-    if isinstance(matrix, DayMatrix):
-        imputed = matrix.imputed
-        year = matrix.year
-    else:
-        imputed = np.zeros_like(resid, dtype=bool)
-        year = None
     return ResidualSeries(
-        values=resid.ravel(order="F").copy(),
-        imputed=imputed.ravel(order="F").copy(),
-        year=year,
+        values=(a - model.approximation).ravel(order="F").copy(),
+        imputed=matrix.imputed.ravel(order="F").copy(),
+        year=matrix.year,
         p=model.p,
     )
 

@@ -28,8 +28,6 @@ from .ingest import (
     parse_price_csv,
 )
 
-DEFAULT_RANK = 2
-
 
 @dataclass
 class RunConfig:
@@ -40,7 +38,7 @@ class RunConfig:
     report so a run can be reproduced from its outputs alone.
     """
 
-    rank: int = DEFAULT_RANK
+    rank: int = 2
     trim: float = residual_stats.DEFAULT_TRIM
     estimator: str = "trimmed"
     permutations: int = seasonality.DEFAULT_PERMUTATIONS
@@ -294,22 +292,29 @@ def analyze_trend(config: RunConfig, year_inputs: list) -> dict:
     return _write_trend_report(config.echo(), results, errors, config.out_dir)
 
 
-def load_year_report(path) -> dict:
-    """Read a previously written year_<Y>.json report."""
+def _read_report(path, kind: str, keys: tuple) -> dict:
+    """Read a JSON report written earlier; InputError if it is unreadable
+    or lacks one of keys."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read year report {path}: {exc}") from exc
-    for key in ("year", "residuals", "spectrum"):
-        if key not in doc:
-            raise InputError(f"{path} is not a year report (missing {key!r})")
+        raise InputError(f"cannot read {kind} {path}: {exc}") from exc
+    for key in keys:
+        if not isinstance(doc, dict) or key not in doc:
+            raise InputError(f"{path} is not a {kind} (missing {key!r})")
     return doc
+
+
+def load_year_report(path) -> dict:
+    """Read a previously written year_<Y>.json report."""
+    return _read_report(path, "year report", ("year", "config", "residuals", "spectrum"))
 
 
 def assemble_report(config: RunConfig, report_dir) -> dict:
     """Rebuild trend.json / trend.csv / spectrum.csv from the year_<Y>.json
-    files in a directory."""
+    files in a directory, keeping the failed-year records of its trend.json
+    (a failed year leaves no year report)."""
     report_dir = Path(report_dir)
     paths = sorted(report_dir.glob("year_*.json"))
     if not paths:
@@ -317,11 +322,17 @@ def assemble_report(config: RunConfig, report_dir) -> dict:
     year_reports = [load_year_report(p) for p in paths]
     # Echo the config the year reports were produced with, not the current
     # invocation's, so the reassembled report matches the original run.
-    echo = year_reports[0].get("config") or config.echo()
+    echo = year_reports[0]["config"]
     for path, rep in zip(paths[1:], year_reports[1:]):
-        if rep.get("config", echo) != echo:
+        if rep["config"] != echo:
             raise InputError(
                 f"{path} was produced with a different config than {paths[0].name}"
             )
+    previous = report_dir / "trend.json"
+    errors = []
+    if previous.exists():
+        errors = _read_report(previous, "trend report", ("errors",))["errors"]
+        if not isinstance(errors, list):
+            raise InputError(f"{previous} is not a trend report (errors is not a list)")
     out = report_dir if config.out_dir is None else config.out_dir
-    return _write_trend_report(echo, year_reports, [], out)
+    return _write_trend_report(echo, year_reports, errors, out)

@@ -7,8 +7,6 @@ references kept relative to the report location.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from pathlib import Path
 
@@ -29,11 +27,10 @@ def write_json(path: Path, obj) -> None:
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="\n")
+    # no cell ever needs CSV quoting: each is a number, a repr float or empty,
+    # and every row has at least two fields (a lone empty field would be quoted)
+    lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def series_to_long_csv(series: PriceSeries) -> str:
@@ -68,22 +65,24 @@ def write_spectrum_csv(path: Path, rows: list[dict]) -> None:
     )
 
 
+def _write_columns(path: Path, header: list[str], columns: np.ndarray, first: int) -> None:
+    """Rows k,index,value for each column k (1-based), indices counted from first."""
+    rows = [
+        [k, i, _fmt(v)]
+        for k, column in enumerate(columns.T.tolist(), start=1)
+        for i, v in enumerate(column, start=first)
+    ]
+    _write_rows(path, header, rows)
+
+
 def write_profiles_csv(path: Path, model: RankPModel) -> None:
     """Hourly profile vectors of the retained components: k,hour,u_value."""
-    rows = []
-    for k in range(model.p):
-        for hour in range(model.profiles.shape[0]):
-            rows.append([k + 1, hour, _fmt(model.profiles[hour, k])])
-    _write_rows(path, ["k", "hour", "u_value"], rows)
+    _write_columns(path, ["k", "hour", "u_value"], model.profiles, first=0)
 
 
 def write_amplitudes_csv(path: Path, model: RankPModel) -> None:
     """Day-amplitude vectors of the retained components: k,day,v_value."""
-    rows = []
-    for k in range(model.p):
-        for day in range(model.amplitudes.shape[0]):
-            rows.append([k + 1, day + 1, _fmt(model.amplitudes[day, k])])
-    _write_rows(path, ["k", "day", "v_value"], rows)
+    _write_columns(path, ["k", "day", "v_value"], model.amplitudes, first=1)
 
 
 def write_probplot_csv(path: Path, points: list[tuple[float, float]]) -> None:

@@ -25,7 +25,6 @@ class VolatilityTrend:
     ci95 is the two-sided t-interval for the slope.
     """
 
-    points: list[tuple[int, float]]
     slope: float
     intercept: float
     ci95: tuple[float, float]
@@ -66,7 +65,6 @@ def fit_trend(points: list[tuple[int, float]]) -> VolatilityTrend:
     t = float(stdtrit(dof, 0.975))  # the Student t quantile scipy.stats.t.ppf returns
     half = t * stderr
     return VolatilityTrend(
-        points=pts,
         slope=slope,
         intercept=intercept,
         ci95=(slope - half, slope + half),

@@ -1,12 +1,15 @@
 """Command-line pipeline: subcommands, exit codes, report files."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spotvol as sv
-from spotvol.cli import main
+from spotvol.cli import _config_from_args, build_parser, main
+from spotvol.ingest import DEFAULT_ZONE, DstPolicy
 from spotvol.pipeline import RunConfig, trend_from_year_reports
 from conftest import rank2_spec
 
@@ -290,3 +293,111 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "spotvol" in capsys.readouterr().out
+
+
+def test_report_keeps_failed_year_records(tmp_path, capsys):
+    files = [
+        str(make_year_csv(tmp_path, year, mu, seed))
+        for year, mu, seed in ((2013, 5.0, 4), (2014, 4.0, 1), (2015, 3.0, 2))
+    ]
+    bad = tmp_path / "prices_2016.csv"
+    bad.write_text("timestamp,price\n2016-01-01T00:00Z,not_a_number\n", encoding="utf-8")
+    out = tmp_path / "degraded"
+    assert main(["analyze-trend", *files, str(bad), "--zone", "UTC", "--out", str(out)]) == 2
+    names = ("trend.json", "trend.csv", "spectrum.csv")
+    original = {name: (out / name).read_bytes() for name in names}
+    assert json.loads(original["trend.json"])["errors"][0]["error"] == "MalformedRow"
+
+    rebuilt = tmp_path / "rebuilt"
+    assert main(["report", str(out), "--out", str(rebuilt)]) == 0
+    assert main(["report", str(out)]) == 0
+    for name, data in original.items():
+        assert (rebuilt / name).read_bytes() == data, name
+        assert (out / name).read_bytes() == data, name
+
+    # a trend.json that cannot be read, or has no errors list, is an input error naming it
+    capsys.readouterr()
+    for text in ("{not json", '{"errors": null}', "[]"):
+        broken = tmp_path / "broken"
+        shutil.rmtree(broken, ignore_errors=True)
+        shutil.copytree(out, broken)
+        (broken / "trend.json").write_text(text, encoding="utf-8")
+        assert main(["report", str(broken)]) == 2
+        assert str(broken / "trend.json") in capsys.readouterr().err
+        assert (broken / "trend.json").read_text(encoding="utf-8") == text
+
+
+def _fake_year_reports(directory):
+    directory.mkdir()
+    for year, mu in ((2014, 4.0), (2015, 3.0), (2016, 2.0)):
+        doc = {
+            "year": year,
+            "config": RunConfig().echo(),
+            "residuals": {"mu_hat": mu, "tail_median": None},
+            "spectrum": {"sigma": [2.0, 1.0], "sigma_normalized": [1.0, 0.5]},
+        }
+        (directory / f"year_{year}.json").write_text(json.dumps(doc), encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["analyze-year", "analyze-trend", "report"])
+def test_empty_out_rejected_before_any_work(tmp_path, monkeypatch, capsys, command):
+    csv_path = make_year_csv(tmp_path)
+    reports_dir = tmp_path / "reports"
+    _fake_year_reports(reports_dir)
+    source = str(reports_dir) if command == "report" else str(csv_path)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as info:
+        main([command, source, "--out", ""])
+    assert info.value.code == 2
+    assert "output directory must not be empty" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+_INGEST_FLAGS = [
+    "--format", "wide", "--zone", "UTC", "--dst-policy", "hold-first", "--gap-limit", "3",
+]
+_INGEST_CONFIG = dict(
+    input_format="wide", zone="UTC", dst_policy=DstPolicy("hold", "first"), gap_limit=3
+)
+_ANALYSIS_FLAGS = [
+    "--rank", "3", "--trim", "0.95", "--estimator", "censored",
+    "--permutations", "200", "--seed", "17",
+]
+_ANALYSIS_CONFIG = dict(rank=3, trim=0.95, estimator="censored", permutations=200, seed=17)
+
+
+@pytest.mark.parametrize(
+    "argv, flags, default, flagged",
+    [
+        pytest.param(
+            ["ingest-check", "x.csv"], _INGEST_FLAGS,
+            RunConfig(zone=DEFAULT_ZONE),
+            RunConfig(**_INGEST_CONFIG),
+            id="ingest-check",
+        ),
+        pytest.param(
+            ["analyze-year", "x.csv", "--out", "o"], _INGEST_FLAGS + _ANALYSIS_FLAGS,
+            RunConfig(zone=DEFAULT_ZONE, out_dir=Path("o")),
+            RunConfig(**_INGEST_CONFIG, **_ANALYSIS_CONFIG, out_dir=Path("o")),
+            id="analyze-year",
+        ),
+        pytest.param(
+            ["analyze-trend", "a.csv", "b.csv", "--out", "o"],
+            _INGEST_FLAGS + _ANALYSIS_FLAGS + ["--jobs", "2"],
+            RunConfig(zone=DEFAULT_ZONE, out_dir=Path("o")),
+            RunConfig(**_INGEST_CONFIG, **_ANALYSIS_CONFIG, jobs=2, out_dir=Path("o")),
+            id="analyze-trend",
+        ),
+        pytest.param(
+            ["report", "d"], ["--out", "o"], RunConfig(), RunConfig(out_dir=Path("o")),
+            id="report",
+        ),
+    ],
+)
+def test_parser_builds_run_config(argv, flags, default, flagged):
+    parser = build_parser()
+    assert _config_from_args(parser.parse_args(argv)) == default
+    assert _config_from_args(parser.parse_args(argv + flags)) == flagged
