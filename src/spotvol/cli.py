@@ -23,9 +23,10 @@ from . import __version__
 from .errors import InputError, SpotvolError
 from .ingest import DEFAULT_ZONE, DstPolicy
 from .pipeline import RunConfig, analyze_trend, analyze_year, assemble_report, load_matrix
-from .reports import series_to_long_csv
+from .reports import read_json, series_to_long_csv
 from .seasonality import MIN_PERMUTATIONS
 from .synth import generate, spec_from_json
+from .trend import MIN_YEARS
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -151,12 +152,26 @@ def _cmd_analyze_year(args) -> int:
 
 
 def _print_trend(combined: dict) -> None:
+    """The fitted trend (stdout) or why there is none, then one line per
+    failed year (stderr)."""
     fit = combined["trend"]
-    print(
-        f"years {fit['years'][0]}..{fit['years'][-1]} (n={len(fit['years'])}):"
-        f" slope={fit['slope']:.4f} EUR/MWh/yr"
-        f" ci95=({fit['ci95'][0]:.4f}, {fit['ci95'][1]:.4f})"
-    )
+    if fit is None:
+        print(
+            f"error: need at least {MIN_YEARS} analyzable years,"
+            f" got {len(combined['years'])} ({len(combined['errors'])} failed)",
+            file=sys.stderr,
+        )
+    else:
+        print(
+            f"years {fit['years'][0]}..{fit['years'][-1]} (n={len(fit['years'])}):"
+            f" slope={fit['slope']:.4f} EUR/MWh/yr"
+            f" ci95=({fit['ci95'][0]:.4f}, {fit['ci95'][1]:.4f})"
+        )
+    for record in combined["errors"]:
+        print(
+            f"failed: {record['input']} [{record['stage']}] {record['message']}",
+            file=sys.stderr,
+        )
 
 
 def _cmd_analyze_trend(args) -> int:
@@ -164,25 +179,16 @@ def _cmd_analyze_trend(args) -> int:
     combined = analyze_trend(config, args.inputs)
     _print_trend(combined)
     print(f"report: {config.out_dir / 'trend.json'}")
-    for record in combined["errors"]:
-        print(
-            f"failed: {record['input']} [{record['stage']}] {record['message']}",
-            file=sys.stderr,
-        )
-    if combined["errors"]:
-        if any(r["category"] == "input" for r in combined["errors"]):
-            return EXIT_INPUT
+    errors = combined["errors"]
+    if combined["trend"] is None:
         return EXIT_ANALYSIS
-    return EXIT_OK
+    if any(r["category"] == "input" for r in errors):
+        return EXIT_INPUT
+    return EXIT_ANALYSIS if errors else EXIT_OK
 
 
 def _cmd_synth(args) -> int:
-    try:
-        with open(args.spec, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read spec {args.spec}: {exc}") from exc
-    series = generate(spec_from_json(doc))
+    series = generate(spec_from_json(read_json(args.spec, "spec")))
     text = series_to_long_csv(series)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -194,8 +200,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _print_trend(assemble_report(_config_from_args(args), args.dir))
-    return EXIT_OK
+    combined = assemble_report(_config_from_args(args), args.dir)
+    _print_trend(combined)
+    return EXIT_ANALYSIS if combined["trend"] is None else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

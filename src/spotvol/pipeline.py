@@ -10,7 +10,6 @@ references inside them are relative to the report directory.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -177,16 +176,15 @@ def analyze_year(config: RunConfig, year_input) -> dict:
 def trend_from_year_reports(year_reports: list[dict]) -> tuple[dict, list[dict]]:
     """Fit the multi-year trend from per-year reports.
 
-    Returns (trend report dict, per-year CSV rows).  Needs at least three
-    analyzed years; raises DegenerateDesign otherwise.
+    Returns (trend report dict, per-year CSV rows).  Raises InputError if
+    two reports share a year, and DegenerateDesign (from trend.fit_trend)
+    for fewer than trend.MIN_YEARS years.
     """
     year_reports = sorted(year_reports, key=lambda r: r["year"])
     years = [r["year"] for r in year_reports]
     if len(set(years)) != len(years):
         raise InputError(f"duplicate years among the inputs: {years}")
     mu_points = [(r["year"], r["residuals"]["mu_hat"]) for r in year_reports]
-    if len(mu_points) < 3:
-        raise DegenerateDesign(f"need at least 3 analyzed years, got {len(mu_points)}")
     fit = trend.fit_trend(mu_points)
     # the top-tail medians are only collected, in year order; no law is fitted
     tails = {
@@ -225,12 +223,16 @@ def _spectrum_rows(year_reports: list[dict]) -> list[dict]:
 
 
 def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict], out_dir) -> dict:
-    """Fit the trend and build the combined report; write trend.csv,
-    spectrum.csv and trend.json to out_dir when it is set."""
-    trend_report, rows = trend_from_year_reports(year_reports)
+    """Fit the trend and build the combined report; write trend.json,
+    spectrum.csv and (when a trend was fitted) trend.csv to out_dir when it
+    is set.  Too few years leave "trend" None; duplicate years raise."""
+    try:
+        trend_report, rows = trend_from_year_reports(year_reports)
+    except DegenerateDesign:
+        trend_report = rows = None
     combined = {
         "config": echo,
-        "years": trend_report["years"],
+        "years": sorted(r["year"] for r in year_reports),
         "trend": trend_report,
         "errors": errors,
         "year_files": {str(r["year"]): f"year_{r['year']}.json" for r in year_reports},
@@ -238,7 +240,8 @@ def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict]
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        reports.write_trend_csv(out / "trend.csv", rows)
+        if rows is not None:
+            reports.write_trend_csv(out / "trend.csv", rows)
         reports.write_spectrum_csv(out / "spectrum.csv", _spectrum_rows(year_reports))
         reports.write_json(out / "trend.json", combined)
     return combined
@@ -248,10 +251,11 @@ def analyze_trend(config: RunConfig, year_inputs: list) -> dict:
     """Analyze several year inputs and fit the multi-year volatility trend.
 
     Each year is analyzed independently on a pool of config.jobs threads;
-    a failing year is recorded under "errors" without aborting the others.
-    The combined report (trend fit, per-year summaries, error records) is
-    written to trend.json / trend.csv / spectrum.csv when config.out_dir
-    is set.
+    a failing year is recorded under "errors" without aborting the others
+    (a path input by its file name, any other input by its 1-based
+    position, "#3").  The combined report (trend fit, or None below
+    trend.MIN_YEARS analyzed years; per-year summaries; error records) is
+    written by _write_trend_report when config.out_dir is set.
     """
     def run_one(item) -> tuple[dict | None, SpotvolError | None]:
         try:
@@ -264,51 +268,21 @@ def analyze_trend(config: RunConfig, year_inputs: list) -> dict:
     results = [report for report, _ in outcomes if report is not None]
     errors = [
         {
-            "input": Path(item).name if isinstance(item, (str, Path)) else str(item),
+            "input": Path(item).name if isinstance(item, (str, Path)) else f"#{position}",
             "stage": exc.stage,
             "error": type(exc).__name__,
             "category": "input" if isinstance(exc, InputError) else "analysis",
             "message": str(exc),
         }
-        for item, (_, exc) in zip(year_inputs, outcomes)
+        for position, (item, (_, exc)) in enumerate(zip(year_inputs, outcomes), start=1)
         if exc is not None
     ]
-
-    if len(results) < 3:
-        if config.out_dir is not None:
-            out = Path(config.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            combined = {
-                "config": config.echo(),
-                "years": sorted(r["year"] for r in results),
-                "trend": None,
-                "errors": errors,
-            }
-            reports.write_json(out / "trend.json", combined)
-        raise DegenerateDesign(
-            f"need at least 3 analyzable years, got {len(results)} "
-            f"({len(errors)} failed)"
-        )
     return _write_trend_report(config.echo(), results, errors, config.out_dir)
-
-
-def _read_report(path, kind: str, keys: tuple) -> dict:
-    """Read a JSON report written earlier; InputError if it is unreadable
-    or lacks one of keys."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {kind} {path}: {exc}") from exc
-    for key in keys:
-        if not isinstance(doc, dict) or key not in doc:
-            raise InputError(f"{path} is not a {kind} (missing {key!r})")
-    return doc
 
 
 def load_year_report(path) -> dict:
     """Read a previously written year_<Y>.json report."""
-    return _read_report(path, "year report", ("year", "config", "residuals", "spectrum"))
+    return reports.read_json(path, "year report", ("year", "config", "residuals", "spectrum"))
 
 
 def assemble_report(config: RunConfig, report_dir) -> dict:
@@ -331,7 +305,7 @@ def assemble_report(config: RunConfig, report_dir) -> dict:
     previous = report_dir / "trend.json"
     errors = []
     if previous.exists():
-        errors = _read_report(previous, "trend report", ("errors",))["errors"]
+        errors = reports.read_json(previous, "trend report", ("errors",))["errors"]
         if not isinstance(errors, list):
             raise InputError(f"{previous} is not a trend report (errors is not a list)")
     out = report_dir if config.out_dir is None else config.out_dir

@@ -1,4 +1,4 @@
-"""Deterministic file emission: plot-ready CSVs and JSON reports.
+"""Deterministic file emission: plot-ready CSVs and JSON reports (read back by read_json).
 
 All writers produce byte-identical output for identical inputs: UTF-8,
 LF line endings, sorted JSON keys, shortest-repr floats, and file
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InputError
 from .ingest import PriceSeries
 from .lowrank import RankPModel
 
@@ -24,6 +25,20 @@ def _fmt(value: float) -> str:
 def write_json(path: Path, obj) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def read_json(path, kind: str, keys: tuple = ()) -> dict:
+    """Read a JSON document (a spec or a report written earlier); InputError
+    if it is unreadable or is not an object holding every one of keys."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {kind} {path}: {exc}") from exc
+    for key in keys:
+        if not isinstance(doc, dict) or key not in doc:
+            raise InputError(f"{path} is not a {kind} (missing {key!r})")
+    return doc
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:

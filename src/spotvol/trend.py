@@ -15,6 +15,8 @@ from scipy.special import stdtrit
 
 from .errors import DegenerateDesign
 
+MIN_YEARS = 3  # fewest points (analyzed years) a trend with a t-interval is fitted to
+
 
 @dataclass
 class VolatilityTrend:
@@ -40,13 +42,13 @@ def fit_trend(points: list[tuple[int, float]]) -> VolatilityTrend:
 
     Years are centered at their mean for conditioning; the intercept is
     mapped back to calendar coordinates.  A perfect fit yields stderr 0
-    and a collapsed interval.  Raises DegenerateDesign for fewer than 3
-    points or a single distinct year.
+    and a collapsed interval.  Raises DegenerateDesign for fewer than
+    MIN_YEARS points or a single distinct year.
     """
     pts = [(int(y), float(v)) for y, v in points]
     n = len(pts)
-    if n < 3:
-        raise DegenerateDesign(f"need at least 3 points, got {n}")
+    if n < MIN_YEARS:
+        raise DegenerateDesign(f"need at least {MIN_YEARS} points, got {n}")
     years = np.array([y for y, _ in pts], dtype=float)
     values = np.array([v for _, v in pts], dtype=float)
     if np.unique(years).size < 2:

@@ -309,8 +309,11 @@ def test_report_keeps_failed_year_records(tmp_path, capsys):
     assert json.loads(original["trend.json"])["errors"][0]["error"] == "MalformedRow"
 
     rebuilt = tmp_path / "rebuilt"
+    capsys.readouterr()
     assert main(["report", str(out), "--out", str(rebuilt)]) == 0
+    assert "failed: prices_2016.csv [ingest]" in capsys.readouterr().err
     assert main(["report", str(out)]) == 0
+    assert "failed: prices_2016.csv [ingest]" in capsys.readouterr().err
     for name, data in original.items():
         assert (rebuilt / name).read_bytes() == data, name
         assert (out / name).read_bytes() == data, name
@@ -325,6 +328,59 @@ def test_report_keeps_failed_year_records(tmp_path, capsys):
         assert main(["report", str(broken)]) == 2
         assert str(broken / "trend.json") in capsys.readouterr().err
         assert (broken / "trend.json").read_text(encoding="utf-8") == text
+
+
+def test_too_few_usable_years_write_the_same_report_shape(tmp_path, capsys):
+    files = [
+        str(make_year_csv(tmp_path, year, mu, seed))
+        for year, mu, seed in ((2014, 4.0, 1), (2015, 3.0, 2), (2016, 2.0, 3))
+    ]
+    fitted = tmp_path / "fitted"
+    assert main(["analyze-trend", *files, "--zone", "UTC", "--out", str(fitted)]) == 0
+    # the 2016 input now holds one malformed row
+    bad = tmp_path / "prices_2016.csv"
+    bad.write_text("timestamp,price\n2016-01-01T00:00Z,not_a_number\n", encoding="utf-8")
+    out = tmp_path / "degraded"
+    capsys.readouterr()
+    code = main(["analyze-trend", *files[:2], str(bad), "--zone", "UTC", "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "error: need at least 3 analyzable years, got 2 (1 failed)" in captured.err
+    assert "failed: prices_2016.csv [ingest]" in captured.err
+    assert f"report: {out / 'trend.json'}" in captured.out
+    combined = json.loads((out / "trend.json").read_text())
+    assert combined["trend"] is None
+    assert combined["years"] == [2014, 2015]
+    assert set(combined) == set(json.loads((fitted / "trend.json").read_text()))
+    assert (out / "spectrum.csv").exists()
+    assert not (out / "trend.csv").exists()
+
+    # report rebuilds the same two files from the directory and exits 3 again
+    rebuilt = tmp_path / "rebuilt"
+    assert main(["report", str(out), "--out", str(rebuilt)]) == 3
+    assert "failed: prices_2016.csv [ingest]" in capsys.readouterr().err
+    for name in ("trend.json", "spectrum.csv"):
+        assert (rebuilt / name).read_bytes() == (out / name).read_bytes(), name
+    assert not (rebuilt / "trend.csv").exists()
+
+    # two copies of one year are an input error, trend or not
+    twice = ["analyze-trend", files[0], files[0], "--zone", "UTC", "--out", str(tmp_path / "d")]
+    assert main(twice) == 2
+    assert "duplicate years among the inputs: [2014, 2014]" in capsys.readouterr().err
+
+
+def test_library_trend_below_three_years_names_in_memory_input(tmp_path):
+    matrices = [sv.calendarize(sv.generate(rank2_spec(year=y, seed=y))) for y in (2014, 2015)]
+    broken = sv.calendarize(sv.generate(rank2_spec(year=2016, seed=3)))
+    broken.values[5, 10] = np.nan
+    combined = sv.analyze_trend(RunConfig(permutations=100), [*matrices, broken])
+    assert combined["trend"] is None
+    assert combined["years"] == [2014, 2015]
+    [record] = combined["errors"]
+    assert record["input"] == "#3"
+    assert record["error"] == "NonFiniteInput"
+    assert record["stage"] == "decompose"
+    assert not list(tmp_path.iterdir())
 
 
 def _fake_year_reports(directory):
