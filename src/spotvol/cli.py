@@ -65,15 +65,21 @@ def _dst_policy(text: str) -> DstPolicy:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _out_dir(text: str) -> Path:
-    if not text:
-        raise argparse.ArgumentTypeError("output directory must not be empty")
-    return Path(text)
+def _non_empty(what: str, convert=str):
+    """argparse type: a non-empty path, passed through convert."""
+
+    def parse(text: str):
+        if not text:
+            raise argparse.ArgumentTypeError(f"{what} must not be empty")
+        return convert(text)
+
+    return parse
 
 
 def _add_out_dir_flag(parser: argparse.ArgumentParser, text: str, required: bool = True):
     parser.add_argument(
-        "--out", dest="out_dir", type=_out_dir, metavar="OUT", required=required, help=text
+        "--out", dest="out_dir", type=_non_empty("output directory", Path), metavar="OUT",
+        required=required, help=text,
     )
 
 
@@ -240,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic year from a JSON spec")
     p.add_argument("spec", help="synthetic-year spec (JSON)")
-    p.add_argument("--out", help="output CSV path (default: stdout)")
+    p.add_argument(
+        "--out", type=_non_empty("output file"), help="output CSV path (default: stdout)"
+    )
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("report", help="rebuild trend report from year_<Y>.json files")

@@ -288,25 +288,31 @@ def load_year_report(path) -> dict:
 def assemble_report(config: RunConfig, report_dir) -> dict:
     """Rebuild trend.json / trend.csv / spectrum.csv from the year_<Y>.json
     files in a directory, keeping the failed-year records of its trend.json
-    (a failed year leaves no year report)."""
+    (a failed year leaves no year report).  A directory where every year
+    failed holds only a trend.json naming no year, which then also gives
+    the config echo."""
     report_dir = Path(report_dir)
     paths = sorted(report_dir.glob("year_*.json"))
-    if not paths:
-        raise InputError(f"no year_<Y>.json reports found in {report_dir}")
     year_reports = [load_year_report(p) for p in paths]
     # Echo the config the year reports were produced with, not the current
     # invocation's, so the reassembled report matches the original run.
-    echo = year_reports[0]["config"]
+    echo = year_reports[0]["config"] if year_reports else None
     for path, rep in zip(paths[1:], year_reports[1:]):
         if rep["config"] != echo:
             raise InputError(
                 f"{path} was produced with a different config than {paths[0].name}"
             )
     previous = report_dir / "trend.json"
-    errors = []
+    doc = {"errors": []}
     if previous.exists():
-        errors = reports.read_json(previous, "trend report", ("errors",))["errors"]
-        if not isinstance(errors, list):
+        keys = ("errors",) if year_reports else ("errors", "config", "years")
+        doc = reports.read_json(previous, "trend report", keys)
+        if not isinstance(doc["errors"], list):
             raise InputError(f"{previous} is not a trend report (errors is not a list)")
+    if not year_reports:
+        # only a run where every input failed leaves no year report to rebuild from
+        if "years" not in doc or doc["years"]:
+            raise InputError(f"no year_<Y>.json reports found in {report_dir}")
+        echo = doc["config"]
     out = report_dir if config.out_dir is None else config.out_dir
-    return _write_trend_report(echo, year_reports, errors, out)
+    return _write_trend_report(echo, year_reports, doc["errors"], out)

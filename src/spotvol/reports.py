@@ -8,6 +8,7 @@ references kept relative to the report location.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,6 @@ import numpy as np
 from .errors import InputError
 from .ingest import PriceSeries
 from .lowrank import RankPModel
-
-
-def _fmt(value: float) -> str:
-    # repr gives the shortest round-tripping decimal form, stable across platforms
-    return repr(float(value))
 
 
 def write_json(path: Path, obj) -> None:
@@ -42,8 +38,10 @@ def read_json(path, kind: str, keys: tuple = ()) -> dict:
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:
-    # no cell ever needs CSV quoting: each is a number, a repr float or empty,
-    # and every row has at least two fields (a lone empty field would be quoted)
+    # the one place a CSV cell becomes text: each cell is an int, a Python
+    # float (str is its shortest round-trip repr, as json.dumps writes it) or
+    # "" for an absent value.  No cell needs quoting, and every row has at
+    # least two fields (a lone empty field would be quoted).
     lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -73,17 +71,14 @@ def write_long_csv(path: Path, series: PriceSeries) -> None:
 
 def write_spectrum_csv(path: Path, rows: list[dict]) -> None:
     """Rows from spectrum_report: year,k,sigma,sigma_normalized."""
-    _write_rows(
-        path,
-        ["year", "k", "sigma", "sigma_normalized"],
-        [[r["year"], r["k"], _fmt(r["sigma"]), _fmt(r["sigma_normalized"])] for r in rows],
-    )
+    header = ["year", "k", "sigma", "sigma_normalized"]
+    _write_rows(path, header, map(itemgetter(*header), rows))
 
 
 def _write_columns(path: Path, header: list[str], columns: np.ndarray, first: int) -> None:
     """Rows k,index,value for each column k (1-based), indices counted from first."""
     rows = [
-        [k, i, _fmt(v)]
+        (k, i, v)
         for k, column in enumerate(columns.T.tolist(), start=1)
         for i, v in enumerate(column, start=first)
     ]
@@ -101,33 +96,23 @@ def write_amplitudes_csv(path: Path, model: RankPModel) -> None:
 
 
 def write_probplot_csv(path: Path, points: list[tuple[float, float]]) -> None:
-    _write_rows(
-        path,
-        ["theoretical_quantile", "ordered_residual"],
-        [[_fmt(x), _fmt(y)] for x, y in points],
-    )
+    _write_rows(path, ["theoretical_quantile", "ordered_residual"], points)
 
 
 def write_histogram_csv(path: Path, histogram: list[dict]) -> None:
     """Permutation-distribution bins: bin_left,bin_right,count."""
-    _write_rows(
-        path,
-        ["bin_left", "bin_right", "count"],
-        [[_fmt(b["bin_left"]), _fmt(b["bin_right"]), b["count"]] for b in histogram],
-    )
+    header = ["bin_left", "bin_right", "count"]
+    _write_rows(path, header, map(itemgetter(*header), histogram))
 
 
 def write_trend_csv(path: Path, rows: list[dict]) -> None:
-    """Per-year summary: year,mu_hat,fitted,tail_median (empty if absent)."""
+    """Per-year summary: year,mu_hat,fitted,tail_median (empty if absent).
+
+    mu_hat comes from year reports read back from disk, where a hand-edited
+    value may be an int; it is written as a float all the same.
+    """
     out = []
     for r in rows:
         tail = r.get("tail_median")
-        out.append(
-            [
-                r["year"],
-                _fmt(r["mu_hat"]),
-                _fmt(r["fitted"]),
-                "" if tail is None else _fmt(tail),
-            ]
-        )
+        out.append([r["year"], float(r["mu_hat"]), r["fitted"], "" if tail is None else tail])
     _write_rows(path, ["year", "mu_hat", "fitted", "tail_median"], out)

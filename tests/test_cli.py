@@ -330,6 +330,41 @@ def test_report_keeps_failed_year_records(tmp_path, capsys):
         assert (broken / "trend.json").read_text(encoding="utf-8") == text
 
 
+def test_report_rebuilds_a_run_where_every_input_failed(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("timestamp,price\n2016-01-01T00:00Z,not_a_number\n", encoding="utf-8")
+    out = tmp_path / "t0"
+    assert main(["analyze-trend", str(bad), "--rank", "3", "--out", str(out)]) == 3
+    names = ("trend.json", "spectrum.csv")
+    original = {name: (out / name).read_bytes() for name in names}
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+    rebuilt = tmp_path / "rebuilt"
+    for argv in (["report", str(out), "--out", str(rebuilt)], ["report", str(out)]):
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "error: need at least 3 analyzable years, got 0 (1 failed)" in err
+        assert "failed: bad.csv [ingest]" in err
+    for name, data in original.items():
+        assert (rebuilt / name).read_bytes() == data, name
+        assert (out / name).read_bytes() == data, name
+    # the config echo is the original run's, not the report invocation's
+    assert json.loads(original["trend.json"])["config"]["rank"] == 3
+
+    # without year reports, a trend.json lacking its config echo is an input error,
+    # and one naming years is not rebuilt without their reports
+    capsys.readouterr()
+    for text, message in (
+        ('{"errors": [], "years": []}', "missing 'config'"),
+        ('{"errors": [], "config": {}, "years": [2016]}', "no year_<Y>.json reports found"),
+    ):
+        (out / "trend.json").write_text(text, encoding="utf-8")
+        assert main(["report", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert (out / "trend.json").read_text(encoding="utf-8") == text
+
+
 def test_too_few_usable_years_write_the_same_report_shape(tmp_path, capsys):
     files = [
         str(make_year_csv(tmp_path, year, mu, seed))
@@ -410,6 +445,19 @@ def test_empty_out_rejected_before_any_work(tmp_path, monkeypatch, capsys, comma
     assert info.value.code == 2
     assert "output directory must not be empty" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_synth_empty_out_rejected_before_any_work(tmp_path, monkeypatch, capsys):
+    spec = tmp_path / "spec.json"
+    write_spec(spec)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["synth", str(spec), "--out", ""])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "output file must not be empty" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
 _INGEST_FLAGS = [

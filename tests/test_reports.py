@@ -47,3 +47,38 @@ def test_profile_and_amplitude_csvs_at_rank_two(tmp_path):
         b"1,1,1.0\n1,2,-0.5\n"
         b"2,1,0.0\n2,2,0.75\n"
     )
+
+
+# floats whose shortest round-trip form has an exponent, a sign, 17 digits,
+# or sits at the subnormal and overflow ends of the double range
+EDGE_FLOATS = [1e-20, 1e16, -0.0, 0.1 + 0.2, 5e-324, 1.7976931348623157e308]
+EDGE_TEXT = [
+    b"1e-20", b"1e+16", b"-0.0", b"0.30000000000000004", b"5e-324", b"1.7976931348623157e+308",
+]
+
+
+def test_probplot_csv_writes_edge_floats_in_shortest_form(tmp_path):
+    path = tmp_path / "probplot.csv"
+    reports.write_probplot_csv(path, list(zip(EDGE_FLOATS, EDGE_FLOATS[::-1])))
+    assert path.read_bytes() == b"theoretical_quantile,ordered_residual\n" + b"".join(
+        x + b"," + y + b"\n" for x, y in zip(EDGE_TEXT, EDGE_TEXT[::-1])
+    )
+
+
+def test_spectrum_csv_writes_edge_floats_in_shortest_form(tmp_path):
+    path = tmp_path / "spectrum.csv"
+    reports.write_spectrum_csv(path, [
+        {"year": 2016, "k": k, "sigma": s, "sigma_normalized": sn}
+        for k, (s, sn) in enumerate(zip(EDGE_FLOATS, EDGE_FLOATS[::-1]), start=1)
+    ])
+    assert path.read_bytes() == b"year,k,sigma,sigma_normalized\n" + b"".join(
+        b"2016,%d,%s,%s\n" % (k, s, sn)
+        for k, (s, sn) in enumerate(zip(EDGE_TEXT, EDGE_TEXT[::-1]), start=1)
+    )
+
+
+def test_trend_csv_writes_an_integer_mu_hat_as_a_float(tmp_path):
+    # a hand-edited year report may hold "mu_hat": 4
+    path = tmp_path / "trend.csv"
+    reports.write_trend_csv(path, [{"year": 2014, "mu_hat": 4, "fitted": 4.0, "tail_median": 9.5}])
+    assert path.read_bytes() == b"year,mu_hat,fitted,tail_median\n2014,4.0,4.0,9.5\n"
