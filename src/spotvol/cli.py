@@ -21,9 +21,10 @@ from pathlib import Path
 
 from . import __version__
 from .errors import InputError, SpotvolError
-from .ingest import DEFAULT_ZONE, DstPolicy
+from .ingest import DEFAULT_ZONE, FORMATS, DstPolicy
 from .pipeline import RunConfig, analyze_trend, analyze_year, assemble_report, load_matrix
 from .reports import read_json, series_to_long_csv
+from .residual_stats import ESTIMATORS
 from .seasonality import MIN_PERMUTATIONS
 from .synth import generate, spec_from_json
 from .trend import MIN_YEARS
@@ -31,31 +32,6 @@ from .trend import MIN_YEARS
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ANALYSIS = 3
-
-
-def _trim_value(text: str) -> float:
-    try:
-        q = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (0.5 < q <= 1.0):
-        raise argparse.ArgumentTypeError(f"trim quantile must lie in (0.5, 1], got {q}")
-    return q
-
-
-def _int_at_least(minimum: int):
-    """argparse type: an integer no smaller than minimum."""
-
-    def parse(text: str) -> int:
-        try:
-            n = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if n < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {n}")
-        return n
-
-    return parse
 
 
 def _dst_policy(text: str) -> DstPolicy:
@@ -85,7 +61,7 @@ def _add_out_dir_flag(parser: argparse.ArgumentParser, text: str, required: bool
 
 def _add_ingest_flags(parser: argparse.ArgumentParser, config: RunConfig):
     parser.add_argument(
-        "--format", dest="input_format", choices=("long", "wide"), default=config.input_format,
+        "--format", dest="input_format", choices=FORMATS, default=config.input_format,
         help=f"input CSV layout (default: {config.input_format}, header timestamp,price)",
     )
     parser.add_argument(
@@ -98,41 +74,43 @@ def _add_ingest_flags(parser: argparse.ArgumentParser, config: RunConfig):
         " interpolate-last",
     )
     parser.add_argument(
-        "--gap-limit", type=_int_at_least(0), default=config.gap_limit, metavar="G",
+        "--gap-limit", type=int, default=config.gap_limit, metavar="G",
         help=f"longest gap (hours) filled by interpolation (default: {config.gap_limit})",
     )
 
 
 def _add_analysis_flags(parser: argparse.ArgumentParser, config: RunConfig):
     parser.add_argument(
-        "--rank", type=_int_at_least(1), default=config.rank,
+        "--rank", type=int, default=config.rank,
         help=f"truncation rank of the seasonal model (default: {config.rank})",
     )
     parser.add_argument(
-        "--trim", type=_trim_value, default=config.trim, metavar="Q",
+        "--trim", type=float, default=config.trim, metavar="Q",
         help=f"bulk fraction fitted by the exponential (default: {config.trim})",
     )
     parser.add_argument(
-        "--estimator", choices=("trimmed", "censored"), default=config.estimator,
+        "--estimator", choices=ESTIMATORS, default=config.estimator,
         help="bulk scale estimator: plain trimmed mean (default) or censored-data MLE",
     )
     parser.add_argument(
-        "--permutations", type=_int_at_least(MIN_PERMUTATIONS), default=config.permutations,
-        metavar="N",
+        "--permutations", type=int, default=config.permutations, metavar="N",
         help=f"permutations for the seasonality test, at least {MIN_PERMUTATIONS}"
         f" (default: {config.permutations})",
     )
     parser.add_argument(
-        "--seed", type=_int_at_least(0), default=config.seed,
+        "--seed", type=int, default=config.seed,
         help=f"base seed for the permutation generator (default: {config.seed})",
     )
 
 
 def _config_from_args(args) -> RunConfig:
     given = vars(args)
-    return RunConfig(
-        **{f.name: given[f.name] for f in dataclasses.fields(RunConfig) if f.name in given}
-    )
+    try:
+        return RunConfig(
+            **{f.name: given[f.name] for f in dataclasses.fields(RunConfig) if f.name in given}
+        )
+    except InputError as exc:
+        args.parser.error(str(exc))
 
 
 def _cmd_ingest_check(args) -> int:
@@ -224,37 +202,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest-check", help="validate one input file and print its manifest")
     p.add_argument("input", help="price CSV file")
     _add_ingest_flags(p, defaults)
-    p.set_defaults(func=_cmd_ingest_check)
+    p.set_defaults(func=_cmd_ingest_check, parser=p)
 
     p = sub.add_parser("analyze-year", help="run the full analysis for one year")
     p.add_argument("input", help="price CSV file covering one calendar year")
     _add_out_dir_flag(p, "output directory for report and plot CSVs")
     _add_ingest_flags(p, defaults)
     _add_analysis_flags(p, defaults)
-    p.set_defaults(func=_cmd_analyze_year)
+    p.set_defaults(func=_cmd_analyze_year, parser=p)
 
     p = sub.add_parser("analyze-trend", help="analyze several years and fit the trend")
     p.add_argument("inputs", nargs="+", metavar="input", help="one price CSV per year")
     _add_out_dir_flag(p, "output directory")
     p.add_argument(
-        "--jobs", type=_int_at_least(1), default=defaults.jobs,
+        "--jobs", type=int, default=defaults.jobs,
         help=f"years analyzed concurrently (default: {defaults.jobs})",
     )
     _add_ingest_flags(p, defaults)
     _add_analysis_flags(p, defaults)
-    p.set_defaults(func=_cmd_analyze_trend)
+    p.set_defaults(func=_cmd_analyze_trend, parser=p)
 
     p = sub.add_parser("synth", help="generate a synthetic year from a JSON spec")
     p.add_argument("spec", help="synthetic-year spec (JSON)")
     p.add_argument(
         "--out", type=_non_empty("output file"), help="output CSV path (default: stdout)"
     )
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, parser=p)
 
     p = sub.add_parser("report", help="rebuild trend report from year_<Y>.json files")
     p.add_argument("dir", help="directory holding year_<Y>.json reports")
     _add_out_dir_flag(p, "output directory (default: same as input dir)", required=False)
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=_cmd_report, parser=p)
     return parser
 
 

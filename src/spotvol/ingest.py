@@ -41,6 +41,7 @@ from .zones import (
 
 DEFAULT_ZONE = "Europe/Berlin"
 DEFAULT_GAP_LIMIT = 6
+FORMATS = ("long", "wide")
 
 _HOUR = timedelta(hours=1)
 _NAIVE = 99  # offset of a naive (wall-time) stamp; real ones lie within +-24 h
@@ -279,7 +280,7 @@ def parse_price_csv(
     Raises MalformedRow, DuplicateTimestamp, EmptyInput, or InputError for
     an unknown zone.
     """
-    if format not in ("long", "wide"):
+    if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
     zone_info(zone)  # an unknown zone fails before the source is read
     lines = _read_text(source).splitlines()
@@ -355,6 +356,8 @@ def calendarize(
     year = years[0]
     if series.year is not None and series.year != year:
         raise WrongYearSpan(f"series labeled {series.year} but data lie in {year}")
+    if not 1 <= year <= 9999:  # the years a datetime.date can hold
+        raise WrongYearSpan(f"data lie in year {year}, outside 1..9999")
 
     n_days = days_in_year(year)
     jan1 = date(year, 1, 1)

@@ -20,6 +20,7 @@ from .errors import DegenerateDesign, InputError, SpotvolError
 from .ingest import (
     DEFAULT_GAP_LIMIT,
     DEFAULT_ZONE,
+    FORMATS,
     DayMatrix,
     DstPolicy,
     PriceSeries,
@@ -34,7 +35,8 @@ class RunConfig:
 
     Defaults follow the reference procedure: rank-2 truncation, 99% trim,
     1000 permutations, seed 0.  The configuration is echoed into every
-    report so a run can be reproduced from its outputs alone.
+    report so a run can be reproduced from its outputs alone.  Building
+    one raises InputError naming the first invalid field.
     """
 
     rank: int = 2
@@ -48,6 +50,23 @@ class RunConfig:
     zone: str | None = None
     jobs: int = 1
     out_dir: Path | None = None
+
+    def __post_init__(self):
+        least = seasonality.MIN_PERMUTATIONS
+        rules = {
+            "rank": (self.rank >= 1, "be >= 1"),
+            "trim": (0.5 < self.trim <= 1.0, "lie in (0.5, 1]"),
+            "estimator": (self.estimator in residual_stats.ESTIMATORS,
+                          f"be one of {residual_stats.ESTIMATORS}"),
+            "permutations": (self.permutations >= least, f"be >= {least}"),
+            "seed": (self.seed >= 0, "be >= 0"),
+            "gap_limit": (self.gap_limit >= 0, "be >= 0"),
+            "input_format": (self.input_format in FORMATS, f"be one of {FORMATS}"),
+            "jobs": (self.jobs >= 1, "be >= 1"),
+        }
+        for name, (ok, rule) in rules.items():
+            if not ok:
+                raise InputError(f"{name} must {rule}, got {getattr(self, name)!r}")
 
     def echo(self) -> dict:
         return {
@@ -263,7 +282,7 @@ def analyze_trend(config: RunConfig, year_inputs: list) -> dict:
         except SpotvolError as exc:
             return None, exc
 
-    with ThreadPoolExecutor(max_workers=max(1, int(config.jobs))) as pool:
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
         outcomes = list(pool.map(run_one, year_inputs))
     results = [report for report, _ in outcomes if report is not None]
     errors = [
@@ -281,16 +300,24 @@ def analyze_trend(config: RunConfig, year_inputs: list) -> dict:
 
 
 def load_year_report(path) -> dict:
-    """Read a previously written year_<Y>.json report."""
-    return reports.read_json(path, "year report", ("year", "config", "residuals", "spectrum"))
+    """Read a previously written year_<Y>.json report, holding every field
+    the combined report is built from and an integer year."""
+    report = reports.read_json(path, "year report", (
+        "year", "config", "residuals.mu_hat", "residuals.tail_median",
+        "spectrum.sigma", "spectrum.sigma_normalized",
+    ))
+    if type(report["year"]) is not int:
+        raise InputError(f"{path} is not a year report (year {report['year']!r} is not an integer)")
+    return report
 
 
 def assemble_report(config: RunConfig, report_dir) -> dict:
     """Rebuild trend.json / trend.csv / spectrum.csv from the year_<Y>.json
     files in a directory, keeping the failed-year records of its trend.json
-    (a failed year leaves no year report).  A directory where every year
-    failed holds only a trend.json naming no year, which then also gives
-    the config echo."""
+    (a failed year leaves no year report).  Every year report that
+    trend.json lists must be there.  A directory where every year failed
+    holds only a trend.json naming no year, which then also gives the
+    config echo."""
     report_dir = Path(report_dir)
     paths = sorted(report_dir.glob("year_*.json"))
     year_reports = [load_year_report(p) for p in paths]
@@ -309,6 +336,13 @@ def assemble_report(config: RunConfig, report_dir) -> dict:
         doc = reports.read_json(previous, "trend report", keys)
         if not isinstance(doc["errors"], list):
             raise InputError(f"{previous} is not a trend report (errors is not a list)")
+        listed = doc.get("year_files", {})
+        if not isinstance(listed, dict):
+            raise InputError(f"{previous} is not a trend report (year_files is not an object)")
+        names = [p.name for p in paths]
+        for name in listed.values():
+            if name not in names:
+                raise InputError(f"year report {name!r} listed in {previous} is missing")
     if not year_reports:
         # only a run where every input failed leaves no year report to rebuild from
         if "years" not in doc or doc["years"]:

@@ -25,15 +25,19 @@ def write_json(path: Path, obj) -> None:
 
 def read_json(path, kind: str, keys: tuple = ()) -> dict:
     """Read a JSON document (a spec or a report written earlier); InputError
-    if it is unreadable or is not an object holding every one of keys."""
+    if it is unreadable or is not an object holding every one of keys.  A
+    dotted key, "residuals.mu_hat", names a field of a nested object."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {kind} {path}: {exc}") from exc
     for key in keys:
-        if not isinstance(doc, dict) or key not in doc:
-            raise InputError(f"{path} is not a {kind} (missing {key!r})")
+        node = doc
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise InputError(f"{path} is not a {kind} (missing {key!r})")
+            node = node[part]
     return doc
 
 

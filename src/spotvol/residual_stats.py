@@ -17,6 +17,7 @@ from .errors import NonPositiveMu, TooFewResiduals, TooFewTailPoints
 from .lowrank import ResidualSeries
 
 DEFAULT_TRIM = 0.99
+ESTIMATORS = ("trimmed", "censored")
 MIN_RESIDUALS = 100
 MIN_TAIL_POINTS = 10
 
@@ -72,7 +73,7 @@ def fit_bulk_exponential(
     """
     if not (0.5 < q <= 1.0):
         raise ValueError(f"trim quantile must lie in (0.5, 1], got {q}")
-    if method not in ("trimmed", "censored"):
+    if method not in ESTIMATORS:
         raise ValueError(f"unknown method {method!r}")
 
     s = _observed_abs_sorted(residuals)

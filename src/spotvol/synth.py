@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -82,6 +82,10 @@ PROFILE_PRESETS = {
     "double_peak": double_peak_profile,
     "daily_sine": daily_sine_profile,
 }
+AMPLITUDE_KINDS = {
+    "constant": constant_amplitude, "linear": linear_amplitude, "cosine": cosine_amplitude,
+}
+MODULATION_KINDS = {"flat": flat_modulation, "u_shaped": u_shaped_modulation}
 
 
 @dataclass
@@ -123,23 +127,29 @@ class SynthSpec:
             raise InvalidSpec(f"sign_mix must lie in [0, 1], got {self.sign_mix}")
         if not (1 <= self.year <= 9999):
             raise InvalidSpec(f"year out of range: {self.year}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
 
 
+@np.errstate(all="ignore")  # a non-finite value is an InvalidSpec below, not a warning
 def generate(spec: SynthSpec) -> PriceSeries:
     """Generate the hourly PriceSeries a spec describes.
 
     Deterministic per seed.  Timestamps are hourly UTC (no DST), so the
     noiseless signal calendarizes to an exactly rank-len(profiles)
-    matrix.
+    matrix.  InvalidSpec if an amplitude, the modulation, the noise or a
+    price is not finite.
     """
     n_days = days_in_year(spec.year)
     d = np.arange(1, n_days + 1, dtype=float)
 
     signal = np.zeros((24, n_days))
-    for hourly, amp in spec.profiles:
+    for i, (hourly, amp) in enumerate(spec.profiles):
         values = np.asarray(amp(d), dtype=float)
         if values.shape != d.shape:
             raise InvalidSpec(f"amplitude function returned shape {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise InvalidSpec(f"profile {i}: amplitude must be finite")
         signal += np.outer(hourly, values)
 
     mod = np.asarray(spec.seasonal_modulation(d), dtype=float)
@@ -151,8 +161,12 @@ def generate(spec: SynthSpec) -> PriceSeries:
     rng = np.random.default_rng(spec.seed)
     scale = spec.residual_mu * np.broadcast_to(mod, (24, n_days))
     magnitudes = rng.exponential(scale)
+    if not np.all(np.isfinite(magnitudes)):
+        raise InvalidSpec(f"residual_mu {spec.residual_mu} gives non-finite noise")
     signs = np.where(rng.random((24, n_days)) < spec.sign_mix, -1.0, 1.0)
     values = signal + signs * magnitudes
+    if not np.all(np.isfinite(values)):
+        raise InvalidSpec("profiles and noise sum to non-finite prices")
 
     n = 24 * n_days
     return PriceSeries(
@@ -168,35 +182,16 @@ def generate(spec: SynthSpec) -> PriceSeries:
 # --- JSON spec form ---------------------------------------------------------
 
 
-def _amplitude_from_json(doc: dict, where: str) -> Amplitude:
-    kind = doc.get("kind")
+def _from_json(kinds: dict, doc, where: str):
+    """Call the factory a kind object names, {"kind": name, **params}, with
+    its other keys as float keyword arguments."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InvalidSpec(f"{where}: need a kind among {sorted(kinds)}, got {doc!r}")
     try:
-        if kind == "constant":
-            return constant_amplitude(float(doc["level"]))
-        if kind == "linear":
-            return linear_amplitude(float(doc["start"]), float(doc["end"]))
-        if kind == "cosine":
-            return cosine_amplitude(
-                float(doc["mean"]),
-                float(doc["amplitude"]),
-                float(doc["period_days"]),
-                float(doc.get("phase_days", 0.0)),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSpec(f"{where}: bad amplitude parameters: {exc}") from exc
-    raise InvalidSpec(f"{where}: unknown amplitude kind {kind!r}")
-
-
-def _modulation_from_json(doc: dict) -> Modulation:
-    kind = doc.get("kind", "flat")
-    if kind == "flat":
-        return flat_modulation()
-    if kind == "u_shaped":
-        try:
-            return u_shaped_modulation(float(doc["beta"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidSpec(f"bad u_shaped modulation: {exc}") from exc
-    raise InvalidSpec(f"unknown modulation kind {kind!r}")
+        return kinds[kind](**{k: float(v) for k, v in doc.items() if k != "kind"})
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"{where}: bad {kind} parameters: {exc}") from exc
 
 
 def _hourly_from_json(value, where: str) -> np.ndarray:
@@ -205,12 +200,13 @@ def _hourly_from_json(value, where: str) -> np.ndarray:
         if preset is None:
             raise InvalidSpec(f"{where}: unknown profile preset {value!r}")
         return preset()
-    if isinstance(value, Sequence) and len(value) == 24:
-        try:
-            return np.asarray(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidSpec(f"{where}: hourly values must be numbers") from exc
-    raise InvalidSpec(f"{where}: hourly must be a preset name or a list of 24 numbers")
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"{where}: hourly must be a preset name or a list of numbers") from exc
+
+
+_SCALARS = {"year": int, "residual_mu": float, "sign_mix": float, "seed": int}
 
 
 def spec_from_json(doc: dict) -> SynthSpec:
@@ -221,41 +217,38 @@ def spec_from_json(doc: dict) -> SynthSpec:
          "profiles": [{"hourly": "double_peak" | [24 numbers],
                        "amplitude": {"kind": "constant", "level": 1.0}}, ...],
          "seasonal_modulation": {"kind": "flat"} | {"kind": "u_shaped", "beta": 2.0}}
+
+    A kind object's parameters are its factory's keyword arguments (see
+    AMPLITUDE_KINDS, MODULATION_KINDS); SynthSpec and generate check values.
     """
     if not isinstance(doc, dict):
         raise InvalidSpec("spec document must be a JSON object")
-    unknown = set(doc) - {
-        "year", "profiles", "residual_mu", "seasonal_modulation", "sign_mix", "seed",
-    }
+    unknown = set(doc) - {*_SCALARS, "profiles", "seasonal_modulation"}
     if unknown:
         raise InvalidSpec(f"unknown spec fields: {sorted(unknown)}")
     for name in ("year", "profiles", "residual_mu"):
         if name not in doc:
             raise InvalidSpec(f"spec field {name!r} is required")
-    if not isinstance(doc["profiles"], list) or not doc["profiles"]:
-        raise InvalidSpec("profiles must be a nonempty list")
+    if not isinstance(doc["profiles"], list):
+        raise InvalidSpec("profiles must be a list")
 
     profiles = []
     for i, item in enumerate(doc["profiles"]):
         if not isinstance(item, dict) or "hourly" not in item or "amplitude" not in item:
             raise InvalidSpec(f"profile {i}: need 'hourly' and 'amplitude'")
         hourly = _hourly_from_json(item["hourly"], f"profile {i}")
-        amp = _amplitude_from_json(item["amplitude"], f"profile {i}")
+        amp = _from_json(AMPLITUDE_KINDS, item["amplitude"], f"profile {i} amplitude")
         profiles.append((hourly, amp))
 
-    try:
-        year = int(doc["year"])
-        residual_mu = float(doc["residual_mu"])
-        sign_mix = float(doc.get("sign_mix", 0.5))
-        seed = int(doc.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"bad scalar field: {exc}") from exc
-    modulation = _modulation_from_json(doc.get("seasonal_modulation", {"kind": "flat"}))
-    return SynthSpec(
-        year=year,
-        profiles=profiles,
-        residual_mu=residual_mu,
-        seasonal_modulation=modulation,
-        sign_mix=sign_mix,
-        seed=seed,
-    )
+    fields = {"profiles": profiles}
+    if "seasonal_modulation" in doc:
+        fields["seasonal_modulation"] = _from_json(
+            MODULATION_KINDS, doc["seasonal_modulation"], "seasonal_modulation"
+        )
+    for name, convert in _SCALARS.items():
+        if name in doc:
+            try:
+                fields[name] = convert(doc[name])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidSpec(f"{name}: {exc}") from exc
+    return SynthSpec(**fields)

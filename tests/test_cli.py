@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import spotvol as sv
 from spotvol.cli import _config_from_args, build_parser, main
+from spotvol.errors import InputError
 from spotvol.ingest import DEFAULT_ZONE, DstPolicy
 from spotvol.pipeline import RunConfig, trend_from_year_reports
 from conftest import rank2_spec
@@ -505,3 +507,176 @@ def test_parser_builds_run_config(argv, flags, default, flagged):
     parser = build_parser()
     assert _config_from_args(parser.parse_args(argv)) == default
     assert _config_from_args(parser.parse_args(argv + flags)) == flagged
+
+
+_INVALID_CONFIG = [
+    ("rank", 0, "rank must be >= 1, got 0"),
+    ("trim", 0.3, "trim must lie in (0.5, 1], got 0.3"),
+    ("trim", 1.5, "trim must lie in (0.5, 1], got 1.5"),
+    ("permutations", 50, "permutations must be >= 100, got 50"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("gap_limit", -1, "gap_limit must be >= 0, got -1"),
+    ("jobs", 0, "jobs must be >= 1, got 0"),
+]
+_INVALID_NAMES = [
+    ("estimator", "mle", "estimator must be one of ('trimmed', 'censored'), got 'mle'"),
+    ("input_format", "csv", "input_format must be one of ('long', 'wide'), got 'csv'"),
+]
+
+
+def _config_ids(cases):
+    return [f"{field}={value}" for field, value, _ in cases]
+
+
+@pytest.mark.parametrize(
+    "field, value, message", _INVALID_CONFIG + _INVALID_NAMES,
+    ids=_config_ids(_INVALID_CONFIG + _INVALID_NAMES),
+)
+def test_run_config_rejects_invalid_values(field, value, message):
+    with pytest.raises(InputError) as info:
+        RunConfig(**{field: value})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field, value, message", _INVALID_CONFIG, ids=_config_ids(_INVALID_CONFIG))
+def test_cli_reports_run_config_rejection_as_usage_error(tmp_path, capsys, field, value, message):
+    out = tmp_path / "out"
+    flag = "--" + field.replace("_", "-")
+    with pytest.raises(SystemExit) as info:
+        main(["analyze-trend", "no_such.csv", "--out", str(out), flag, str(value)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spotvol analyze-trend ")
+    assert err.endswith(f"spotvol analyze-trend: error: {message}\n")
+    assert not out.exists()
+
+
+def _amplitude(**amplitude):
+    return lambda doc: doc["profiles"][0].update(amplitude=amplitude)
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        pytest.param(lambda doc: doc.update(year=float("inf")), "year: ", id="year-overflow"),
+        pytest.param(lambda doc: doc.update(seed=-1), "seed must be >= 0, got -1", id="seed"),
+        pytest.param(
+            _amplitude(kind="cosine", mean=1.0, amplitude=1.0, period_days=0),
+            "profile 0: amplitude must be finite", id="zero-period",
+        ),
+        pytest.param(
+            _amplitude(kind="constant", level=float("inf")),
+            "profile 0: amplitude must be finite", id="infinite-level",
+        ),
+        pytest.param(
+            lambda doc: doc.update(residual_mu=1e308),
+            "residual_mu 1e+308 gives non-finite noise", id="huge-residual-mu",
+        ),
+        pytest.param(
+            _amplitude(kind="constant", level=1.0, slope=2.0),
+            "unexpected keyword argument 'slope'", id="unknown-parameter",
+        ),
+        pytest.param(
+            lambda doc: doc.update(seasonal_modulation={"beta": 2.0}),
+            "seasonal_modulation: ", id="modulation-without-kind",
+        ),
+    ],
+)
+def test_synth_rejects_invalid_spec_values(tmp_path, capsys, mangle, message):
+    doc = {
+        "year": 2016,
+        "residual_mu": 1.0,
+        "profiles": [{"hourly": "flat", "amplitude": {"kind": "constant", "level": 1.0}}],
+    }
+    mangle(doc)
+    spec = tmp_path / "spec.json"
+    # an infinity is written as a JSON number too large for a double
+    spec.write_text(json.dumps(doc).replace("Infinity", "1e400"), encoding="utf-8")
+    out = tmp_path / "prices.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synth", str(spec), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_refuses_a_run_whose_listed_year_report_is_gone(tmp_path, capsys):
+    run = tmp_path / "run"
+    _fake_year_reports(run)
+    assert main(["report", str(run)]) == 0
+    trend_json = (run / "trend.json").read_bytes()
+    (run / "year_2016.json").unlink()
+    rebuilt = tmp_path / "rebuilt"
+    capsys.readouterr()
+    for argv in (["report", str(run), "--out", str(rebuilt)], ["report", str(run)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'year_2016.json'" in err and str(run / "trend.json") in err
+    assert not rebuilt.exists()
+    assert (run / "trend.json").read_bytes() == trend_json
+
+    # a year_files entry that is not an object is an input error naming trend.json
+    doc = json.loads(trend_json)
+    doc["year_files"] = ["year_2014.json"]
+    (run / "trend.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report", str(run)]) == 2
+    assert f"{run / 'trend.json'} is not a trend report (year_files" in capsys.readouterr().err
+
+
+def _drop(section, key):
+    return lambda doc: doc[section].pop(key)
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        pytest.param(_drop("residuals", "mu_hat"), "missing 'residuals.mu_hat'", id="mu_hat"),
+        pytest.param(
+            _drop("residuals", "tail_median"), "missing 'residuals.tail_median'", id="tail_median"
+        ),
+        pytest.param(_drop("spectrum", "sigma"), "missing 'spectrum.sigma'", id="sigma"),
+        pytest.param(
+            _drop("spectrum", "sigma_normalized"), "missing 'spectrum.sigma_normalized'",
+            id="sigma_normalized",
+        ),
+        pytest.param(
+            lambda doc: doc.update(year="2015"), "year '2015' is not an integer", id="string-year"
+        ),
+    ],
+)
+def test_report_rejects_a_malformed_year_report(tmp_path, capsys, mangle, message):
+    run = tmp_path / "run"
+    _fake_year_reports(run)
+    path = run / "year_2015.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    mangle(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["report", str(run), "--out", str(out)]) == 2
+    assert f"{path} is not a year report ({message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_refuses_year_reports_of_different_configs(tmp_path, capsys):
+    run = tmp_path / "run"
+    _fake_year_reports(run)
+    path = run / "year_2016.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["config"]["rank"] = 3
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report", str(run)]) == 2
+    assert f"{path} was produced with a different config" in capsys.readouterr().err
+    assert not (run / "trend.json").exists()
+
+
+def test_year_outside_datetime_range_is_a_calendarize_error(tmp_path):
+    far = tmp_path / "far.csv"
+    far.write_text("timestamp,price\n9999-12-31T23:00:00-01:00,5.0\n", encoding="utf-8")
+    matrices = [sv.calendarize(sv.generate(rank2_spec(year=y, seed=y))) for y in (2014, 2015, 2016)]
+    combined = sv.analyze_trend(RunConfig(permutations=100, zone="UTC"), [*matrices, far])
+    assert combined["years"] == [2014, 2015, 2016]
+    assert combined["trend"] is not None
+    [record] = combined["errors"]
+    assert (record["input"], record["stage"], record["error"]) == (
+        "far.csv", "calendarize", "WrongYearSpan"
+    )

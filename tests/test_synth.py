@@ -10,6 +10,7 @@ from spotvol.synth import (
     cosine_amplitude,
     daily_sine_profile,
     double_peak_profile,
+    flat_modulation,
     flat_profile,
     linear_amplitude,
     u_shaped_modulation,
@@ -184,3 +185,40 @@ def test_preset_profiles_have_expected_shape():
     # morning and late-afternoon local maxima
     assert peaks[8] > peaks[12] and peaks[19] > peaks[12]
     assert daily_sine_profile().shape == (24,)
+
+
+@pytest.mark.parametrize(
+    "amplitude_doc, amplitude",
+    [
+        ({"kind": "constant", "level": 2.0}, constant_amplitude(2.0)),
+        ({"kind": "linear", "start": 1.0, "end": 3.0}, linear_amplitude(1.0, 3.0)),
+        (
+            {"kind": "cosine", "mean": 1.0, "amplitude": 0.5, "period_days": 30, "phase_days": 4},
+            cosine_amplitude(1.0, 0.5, 30.0, 4.0),
+        ),
+    ],
+    ids=["constant", "linear", "cosine"],
+)
+@pytest.mark.parametrize(
+    "modulation_doc, modulation",
+    [
+        ({"kind": "flat"}, flat_modulation()),
+        ({"kind": "u_shaped", "beta": 2.0}, u_shaped_modulation(2.0)),
+    ],
+    ids=["flat", "u_shaped"],
+)
+def test_json_kind_builds_the_spec_its_factory_builds(
+    amplitude_doc, amplitude, modulation_doc, modulation
+):
+    doc = {
+        "year": 2015,
+        "residual_mu": 2.0,
+        "seed": 3,
+        "profiles": [{"hourly": "double_peak", "amplitude": amplitude_doc}],
+        "seasonal_modulation": modulation_doc,
+    }
+    direct = sv.SynthSpec(
+        2015, [(double_peak_profile(), amplitude)], residual_mu=2.0,
+        seasonal_modulation=modulation, seed=3,
+    )
+    assert np.array_equal(sv.generate(sv.spec_from_json(doc)).values, sv.generate(direct).values)
