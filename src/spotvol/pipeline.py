@@ -36,7 +36,8 @@ class RunConfig:
     Defaults follow the reference procedure: rank-2 truncation, 99% trim,
     1000 permutations, seed 0.  The configuration is echoed into every
     report so a run can be reproduced from its outputs alone.  Building
-    one raises InputError naming the first invalid field.
+    one raises InputError naming an invalid field, a value of the wrong
+    type before one out of range.
     """
 
     rank: int = 2
@@ -52,6 +53,13 @@ class RunConfig:
     out_dir: Path | None = None
 
     def __post_init__(self):
+        kinds = {"rank": int, "trim": (int, float), "permutations": int, "seed": int,
+                 "gap_limit": int, "jobs": int}
+        for name, kind in kinds.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is int else "a number"
+                raise InputError(f"{name} must be {what}, got {value!r}")
         least = seasonality.MIN_PERMUTATIONS
         rules = {
             "rank": (self.rank >= 1, "be >= 1"),
@@ -132,8 +140,11 @@ def analyze_year(config: RunConfig, year_input) -> dict:
             residuals, q=config.trim, method=config.estimator
         )
     with _stage("seasonality"):
+        # about one compute thread per core: the config.jobs years that
+        # run at once share the cores between their permutation tests
         test = seasonality.permutation_test(
-            residuals, n_permutations=config.permutations, seed=config.seed
+            residuals, n_permutations=config.permutations, seed=config.seed,
+            workers=max(1, seasonality.usable_cores() // config.jobs),
         )
 
     year = matrix.year

@@ -9,6 +9,8 @@ arrangement of the same values.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,17 +66,28 @@ def angular_momentum(residuals: ResidualSeries | np.ndarray) -> float:
     return float(r @ _edge_weights(r.size))
 
 
+def usable_cores() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def permutation_test(
     residuals: ResidualSeries | np.ndarray,
     n_permutations: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
+    workers: int | None = None,
 ) -> SeasonalityTest:
     """One-sided permutation test of seasonal volatility concentration.
 
     Each permutation shuffles the absolute residuals across hour slots
     with its own deterministic generator derived from (seed, index), so
     the result is independent of execution order.  L is recomputed per
-    shuffle and compared against the observed value.
+    shuffle and compared against the observed value.  The indices run in
+    contiguous chunks on `workers` threads (default: usable_cores());
+    numpy's shuffle releases the GIL, and the samples do not depend on
+    the thread count.
     """
     if n_permutations < MIN_PERMUTATIONS:
         raise TooFewPermutations(
@@ -85,12 +98,24 @@ def permutation_test(
     if r.size < 2:
         raise EmptySeries(f"need at least 2 residuals, got {r.size}")
 
+    workers = usable_cores() if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
     w = _edge_weights(r.size)
     l_obs = float(r @ w)
     samples = np.empty(n_permutations)
-    for i in range(n_permutations):
-        rng = np.random.default_rng((seed, i))
-        samples[i] = r[rng.permutation(r.size)] @ w
+
+    def fill(indices: range) -> None:
+        # permutation(r) shuffles a copy of r with the same draws that
+        # permutation(r.size) shuffles the index vector with
+        for i in indices:
+            samples[i] = np.random.default_rng((seed, i)).permutation(r) @ w
+
+    chunks = min(workers, n_permutations)
+    bounds = [n_permutations * k // chunks for k in range(chunks + 1)]
+    with ThreadPoolExecutor(max_workers=chunks) as pool:
+        list(pool.map(fill, map(range, bounds[:-1], bounds[1:])))
 
     exceed = int(np.count_nonzero(samples >= l_obs))
     p_value = (exceed + 1) / (n_permutations + 1)

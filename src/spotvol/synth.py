@@ -108,6 +108,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("year", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidSpec(f"{name}: must be an integer, got {value!r}")
         if not self.profiles:
             raise InvalidSpec("profiles must be nonempty")
         checked = []
@@ -206,7 +210,7 @@ def _hourly_from_json(value, where: str) -> np.ndarray:
         raise InvalidSpec(f"{where}: hourly must be a preset name or a list of numbers") from exc
 
 
-_SCALARS = {"year": int, "residual_mu": float, "sign_mix": float, "seed": int}
+_FLOATS = ("residual_mu", "sign_mix")
 
 
 def spec_from_json(doc: dict) -> SynthSpec:
@@ -223,7 +227,7 @@ def spec_from_json(doc: dict) -> SynthSpec:
     """
     if not isinstance(doc, dict):
         raise InvalidSpec("spec document must be a JSON object")
-    unknown = set(doc) - {*_SCALARS, "profiles", "seasonal_modulation"}
+    unknown = set(doc) - {"year", "seed", *_FLOATS, "profiles", "seasonal_modulation"}
     if unknown:
         raise InvalidSpec(f"unknown spec fields: {sorted(unknown)}")
     for name in ("year", "profiles", "residual_mu"):
@@ -240,15 +244,16 @@ def spec_from_json(doc: dict) -> SynthSpec:
         amp = _from_json(AMPLITUDE_KINDS, item["amplitude"], f"profile {i} amplitude")
         profiles.append((hourly, amp))
 
-    fields = {"profiles": profiles}
+    # SynthSpec checks that year and seed are integers
+    fields = {"profiles": profiles, **{k: doc[k] for k in ("year", "seed") if k in doc}}
     if "seasonal_modulation" in doc:
         fields["seasonal_modulation"] = _from_json(
             MODULATION_KINDS, doc["seasonal_modulation"], "seasonal_modulation"
         )
-    for name, convert in _SCALARS.items():
+    for name in _FLOATS:
         if name in doc:
             try:
-                fields[name] = convert(doc[name])
+                fields[name] = float(doc[name])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidSpec(f"{name}: {exc}") from exc
     return SynthSpec(**fields)

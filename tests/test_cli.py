@@ -522,15 +522,25 @@ _INVALID_NAMES = [
     ("estimator", "mle", "estimator must be one of ('trimmed', 'censored'), got 'mle'"),
     ("input_format", "csv", "input_format must be one of ('long', 'wide'), got 'csv'"),
 ]
+# values of the wrong type, which the CLI's int and float parsers cannot produce
+_INVALID_TYPES = [
+    ("rank", 2.5, "rank must be an integer, got 2.5"),
+    ("rank", "2", "rank must be an integer, got '2'"),
+    ("trim", "0.9", "trim must be a number, got '0.9'"),
+    ("permutations", 150.5, "permutations must be an integer, got 150.5"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("gap_limit", 6.0, "gap_limit must be an integer, got 6.0"),
+    ("jobs", True, "jobs must be an integer, got True"),
+]
 
 
-def _config_ids(cases):
-    return [f"{field}={value}" for field, value, _ in cases]
+def _config_ids(cases, show=str):
+    return [f"{field}={show(value)}" for field, value, _ in cases]
 
 
 @pytest.mark.parametrize(
-    "field, value, message", _INVALID_CONFIG + _INVALID_NAMES,
-    ids=_config_ids(_INVALID_CONFIG + _INVALID_NAMES),
+    "field, value, message", _INVALID_CONFIG + _INVALID_NAMES + _INVALID_TYPES,
+    ids=_config_ids(_INVALID_CONFIG + _INVALID_NAMES) + _config_ids(_INVALID_TYPES, repr),
 )
 def test_run_config_rejects_invalid_values(field, value, message):
     with pytest.raises(InputError) as info:
@@ -560,6 +570,16 @@ def _amplitude(**amplitude):
     [
         pytest.param(lambda doc: doc.update(year=float("inf")), "year: ", id="year-overflow"),
         pytest.param(lambda doc: doc.update(seed=-1), "seed must be >= 0, got -1", id="seed"),
+        pytest.param(
+            lambda doc: doc.update(year=2016.7), "year: must be an integer, got 2016.7",
+            id="fractional-year",
+        ),
+        pytest.param(lambda doc: doc.update(year=True), "year: must be an integer, got True",
+                     id="boolean-year"),
+        pytest.param(lambda doc: doc.update(seed=2.9), "seed: must be an integer, got 2.9",
+                     id="fractional-seed"),
+        pytest.param(lambda doc: doc.update(seed="3"), "seed: must be an integer, got '3'",
+                     id="string-seed"),
         pytest.param(
             _amplitude(kind="cosine", mean=1.0, amplitude=1.0, period_days=0),
             "profile 0: amplitude must be finite", id="zero-period",

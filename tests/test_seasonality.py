@@ -112,3 +112,46 @@ def test_histogram_summary_shape(exp_sample_series):
     assert lefts[1:] == rights[:-1]
     assert test.permutation_values["min"] >= lefts[0]
     assert test.permutation_values["max"] <= rights[-1]
+
+
+def _reference_samples(r, n_permutations, seed):
+    """The sequential loop the threaded chunks must reproduce bit for bit."""
+    r = np.abs(r)
+    n = r.size
+    x = (np.arange(1, n + 1) - n / 2) / (n / 2)
+    w = x * x / 1000.0
+    return np.array([
+        r[np.random.default_rng((seed, i)).permutation(n)] @ w for i in range(n_permutations)
+    ])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, None])
+@pytest.mark.parametrize("n_permutations", [101, 250])
+def test_samples_do_not_depend_on_workers(workers, n_permutations):
+    r = np.random.default_rng(8).normal(0.0, 2.0, 2000)
+    before = r.copy()
+    for seed in (0, 5, 123):
+        test = sv.permutation_test(r, n_permutations, seed=seed, workers=workers)
+        assert np.array_equal(test.samples, _reference_samples(r, n_permutations, seed))
+    assert np.array_equal(r, before)
+
+
+def test_workers_below_one_rejected():
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        sv.permutation_test(np.ones(100), 100, workers=0)
+
+
+@pytest.mark.parametrize("series_seed", [1, 2, 3])
+def test_null_samples_match_exact_permutation_moments(series_seed):
+    # L is a linear permutation statistic; its exact mean over all
+    # permutations is n*mean(r)*mean(w) and its variance
+    # sum((r - mean r)^2) * sum((w - mean w)^2) / (n - 1) (Hoeffding 1951)
+    n, draws = 8784, 1000
+    r = np.random.default_rng(series_seed).exponential(3.0, n)
+    x = (np.arange(1, n + 1) - n / 2) / (n / 2)
+    w = x * x / 1000.0
+    mean = n * r.mean() * w.mean()
+    sd = np.sqrt(np.sum((r - r.mean()) ** 2) * np.sum((w - w.mean()) ** 2) / (n - 1))
+    samples = sv.permutation_test(r, draws, seed=series_seed).samples
+    assert abs(samples.mean() - mean) <= 4 * sd / np.sqrt(draws)
+    assert samples.std(ddof=1) == pytest.approx(sd, rel=0.15)
