@@ -60,6 +60,8 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "an integer" if kind is int else "a number"
                 raise InputError(f"{name} must be {what}, got {value!r}")
+        if self.zone is not None and not isinstance(self.zone, str):
+            raise InputError(f"zone must be a string, got {self.zone!r}")
         least = seasonality.MIN_PERMUTATIONS
         rules = {
             "rank": (self.rank >= 1, "be >= 1"),

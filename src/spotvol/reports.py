@@ -2,7 +2,9 @@
 
 All writers produce byte-identical output for identical inputs: UTF-8,
 LF line endings, sorted JSON keys, shortest-repr floats, and file
-references kept relative to the report location.
+references kept relative to the report location.  A CSV cell becomes
+text in one place, _write_rows: one "%s,%s,..." line per row, so each
+cell is its str (an int, a float's shortest repr, or "" when absent).
 """
 
 from __future__ import annotations
@@ -42,12 +44,14 @@ def read_json(path, kind: str, keys: tuple = ()) -> dict:
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:
-    # the one place a CSV cell becomes text: each cell is an int, a Python
-    # float (str is its shortest round-trip repr, as json.dumps writes it) or
-    # "" for an absent value.  No cell needs quoting, and every row has at
-    # least two fields (a lone empty field would be quoted).
-    lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    # the one place a CSV cell becomes text: %s is str of each cell, an int,
+    # a Python float (its shortest round-trip repr, as json.dumps writes it)
+    # or "" for an absent value.  No cell needs quoting, and every row has at
+    # least two fields (a lone empty field would be quoted).  A row whose
+    # length differs from the header's is a TypeError before the file opens.
+    line = ",".join(["%s"] * len(header)) + "\n"
+    text = "".join([",".join(header) + "\n", *(line % tuple(row) for row in rows)])
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def series_to_long_csv(series: PriceSeries) -> str:

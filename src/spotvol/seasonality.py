@@ -9,6 +9,7 @@ arrangement of the same values.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -66,6 +67,16 @@ def angular_momentum(residuals: ResidualSeries | np.ndarray) -> float:
     return float(r @ _edge_weights(r.size))
 
 
+@functools.lru_cache(maxsize=2)
+def _seeded_states(seed: int, n_permutations: int) -> tuple[tuple[int, int], ...]:
+    """PCG64 (state, inc) that default_rng((seed, i)) starts from, for each
+    draw i.  Hashing (seed, i) is most of the GIL-held work of a draw, and
+    the years of a run share one (seed, n_permutations); a key holds
+    ~150 bytes a draw."""
+    starts = (np.random.PCG64((seed, i)).state["state"] for i in range(n_permutations))
+    return tuple((start["state"], start["inc"]) for start in starts)
+
+
 def usable_cores() -> int:
     """Number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -87,7 +98,8 @@ def permutation_test(
     shuffle and compared against the observed value.  The indices run in
     contiguous chunks on `workers` threads (default: usable_cores());
     numpy's shuffle releases the GIL, and the samples do not depend on
-    the thread count.
+    the thread count.  Each draw's seeded starting state is computed once
+    per (seed, n_permutations) in a process and reused.
     """
     if n_permutations < MIN_PERMUTATIONS:
         raise TooFewPermutations(
@@ -105,12 +117,19 @@ def permutation_test(
     w = _edge_weights(r.size)
     l_obs = float(r @ w)
     samples = np.empty(n_permutations)
+    states = _seeded_states(seed, n_permutations)
 
     def fill(indices: range) -> None:
-        # permutation(r) shuffles a copy of r with the same draws that
-        # permutation(r.size) shuffles the index vector with
+        # one generator per chunk, reset to draw i's seeded state: the stream
+        # of default_rng((seed, i)).  permutation(r) shuffles a copy of r with
+        # the same draws that permutation(r.size) shuffles the index vector with
+        bits = np.random.PCG64()
+        rng = np.random.Generator(bits)
         for i in indices:
-            samples[i] = np.random.default_rng((seed, i)).permutation(r) @ w
+            state, inc = states[i]
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            samples[i] = rng.permutation(r) @ w
 
     chunks = min(workers, n_permutations)
     bounds = [n_permutations * k // chunks for k in range(chunks + 1)]

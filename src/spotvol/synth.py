@@ -10,6 +10,7 @@ by construction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Callable
@@ -88,6 +89,10 @@ AMPLITUDE_KINDS = {
 MODULATION_KINDS = {"flat": flat_modulation, "u_shaped": u_shaped_modulation}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class SynthSpec:
     """Recipe for one synthetic year.
@@ -112,6 +117,14 @@ class SynthSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InvalidSpec(f"{name}: must be an integer, got {value!r}")
+        for name in ("residual_mu", "sign_mix"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise InvalidSpec(f"{name}: must be a number, got {value!r}")
+            try:
+                setattr(self, name, float(value))
+            except OverflowError as exc:
+                raise InvalidSpec(f"{name}: {exc}") from exc
         if not self.profiles:
             raise InvalidSpec("profiles must be nonempty")
         checked = []
@@ -188,12 +201,16 @@ def generate(spec: SynthSpec) -> PriceSeries:
 
 def _from_json(kinds: dict, doc, where: str):
     """Call the factory a kind object names, {"kind": name, **params}, with
-    its other keys as float keyword arguments."""
+    its other keys, each a number, as float keyword arguments."""
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if not isinstance(kind, str) or kind not in kinds:
         raise InvalidSpec(f"{where}: need a kind among {sorted(kinds)}, got {doc!r}")
+    params = {k: v for k, v in doc.items() if k != "kind"}
+    for k, v in params.items():
+        if not _is_number(v):
+            raise InvalidSpec(f"{where} {k}: must be a number, got {v!r}")
     try:
-        return kinds[kind](**{k: float(v) for k, v in doc.items() if k != "kind"})
+        return kinds[kind](**{k: float(v) for k, v in params.items()})
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"{where}: bad {kind} parameters: {exc}") from exc
 
@@ -210,7 +227,7 @@ def _hourly_from_json(value, where: str) -> np.ndarray:
         raise InvalidSpec(f"{where}: hourly must be a preset name or a list of numbers") from exc
 
 
-_FLOATS = ("residual_mu", "sign_mix")
+_SCALARS = ("year", "seed", "residual_mu", "sign_mix")
 
 
 def spec_from_json(doc: dict) -> SynthSpec:
@@ -227,7 +244,7 @@ def spec_from_json(doc: dict) -> SynthSpec:
     """
     if not isinstance(doc, dict):
         raise InvalidSpec("spec document must be a JSON object")
-    unknown = set(doc) - {"year", "seed", *_FLOATS, "profiles", "seasonal_modulation"}
+    unknown = set(doc) - {*_SCALARS, "profiles", "seasonal_modulation"}
     if unknown:
         raise InvalidSpec(f"unknown spec fields: {sorted(unknown)}")
     for name in ("year", "profiles", "residual_mu"):
@@ -244,16 +261,11 @@ def spec_from_json(doc: dict) -> SynthSpec:
         amp = _from_json(AMPLITUDE_KINDS, item["amplitude"], f"profile {i} amplitude")
         profiles.append((hourly, amp))
 
-    # SynthSpec checks that year and seed are integers
-    fields = {"profiles": profiles, **{k: doc[k] for k in ("year", "seed") if k in doc}}
+    # SynthSpec checks that year and seed are integers, residual_mu and
+    # sign_mix numbers
+    fields = {"profiles": profiles, **{k: doc[k] for k in _SCALARS if k in doc}}
     if "seasonal_modulation" in doc:
         fields["seasonal_modulation"] = _from_json(
             MODULATION_KINDS, doc["seasonal_modulation"], "seasonal_modulation"
         )
-    for name in _FLOATS:
-        if name in doc:
-            try:
-                fields[name] = float(doc[name])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InvalidSpec(f"{name}: {exc}") from exc
     return SynthSpec(**fields)

@@ -531,6 +531,7 @@ _INVALID_TYPES = [
     ("seed", 1.5, "seed must be an integer, got 1.5"),
     ("gap_limit", 6.0, "gap_limit must be an integer, got 6.0"),
     ("jobs", True, "jobs must be an integer, got True"),
+    ("zone", 5, "zone must be a string, got 5"),
 ]
 
 
@@ -600,6 +601,20 @@ def _amplitude(**amplitude):
             lambda doc: doc.update(seasonal_modulation={"beta": 2.0}),
             "seasonal_modulation: ", id="modulation-without-kind",
         ),
+        pytest.param(lambda doc: doc.update(residual_mu=True),
+                     "residual_mu: must be a number, got True", id="boolean-residual-mu"),
+        pytest.param(lambda doc: doc.update(sign_mix="0.5"),
+                     "sign_mix: must be a number, got '0.5'", id="string-sign-mix"),
+        pytest.param(
+            _amplitude(kind="constant", level=True),
+            "profile 0 amplitude level: must be a number, got True", id="boolean-level",
+        ),
+        pytest.param(
+            lambda doc: doc.update(seasonal_modulation={"kind": "u_shaped", "beta": "2"}),
+            "seasonal_modulation beta: must be a number, got '2'", id="string-beta",
+        ),
+        pytest.param(lambda doc: doc.update(residual_mu=10**400),
+                     "residual_mu: int too large to convert to float", id="residual-mu-overflow"),
     ],
 )
 def test_synth_rejects_invalid_spec_values(tmp_path, capsys, mangle, message):

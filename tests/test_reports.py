@@ -1,6 +1,7 @@
 """Report CSV writers: exact bytes for hand-built inputs."""
 
 import numpy as np
+import pytest
 
 from spotvol import reports
 from spotvol.lowrank import RankPModel
@@ -82,3 +83,11 @@ def test_trend_csv_writes_an_integer_mu_hat_as_a_float(tmp_path):
     path = tmp_path / "trend.csv"
     reports.write_trend_csv(path, [{"year": 2014, "mu_hat": 4, "fitted": 4.0, "tail_median": 9.5}])
     assert path.read_bytes() == b"year,mu_hat,fitted,tail_median\n2014,4.0,4.0,9.5\n"
+
+
+@pytest.mark.parametrize("row", [(0.5,), (0.5, 1.0, 2.0)], ids=["short", "long"])
+def test_row_with_wrong_cell_count_raises_and_writes_nothing(tmp_path, row):
+    path = tmp_path / "probplot.csv"
+    with pytest.raises(TypeError):
+        reports.write_probplot_csv(path, [(0.0, 1.0), row])
+    assert not path.exists()

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sps
 
 import spotvol as sv
-from spotvol import EmptySeries, ResidualSeries, TooFewPermutations
+from spotvol import EmptySeries, ResidualSeries, TooFewPermutations, seasonality
 
 
 def test_zero_residuals_zero_statistic():
@@ -134,6 +134,45 @@ def test_samples_do_not_depend_on_workers(workers, n_permutations):
         test = sv.permutation_test(r, n_permutations, seed=seed, workers=workers)
         assert np.array_equal(test.samples, _reference_samples(r, n_permutations, seed))
     assert np.array_equal(r, before)
+
+
+def test_samples_match_reference_in_every_cache_state():
+    r = np.random.default_rng(3).normal(0.0, 2.0, 1500)
+    n = 120
+    cache = seasonality._seeded_states
+    cache.cache_clear()
+
+    def check(seed):
+        test = sv.permutation_test(r, n, seed=seed, workers=2)
+        assert np.array_equal(test.samples, _reference_samples(r, n, seed))
+
+    check(4)
+    assert cache.cache_info().misses == 1  # cold
+    states = cache(4, n)
+    check(4)
+    assert cache.cache_info().misses == 1  # warm
+    # a call reads the cached states and leaves them as PCG64 seeds them
+    assert cache(4, n) is states
+    assert states == tuple(
+        (start["state"], start["inc"])
+        for start in (np.random.PCG64((4, i)).state["state"] for i in range(n))
+    )
+    for seed in range(10, 11 + cache.cache_info().maxsize):
+        check(seed)
+    misses = cache.cache_info().misses
+    check(4)
+    assert cache.cache_info().misses == misses + 1  # evicted, seeded again
+    check(2**40 + 3)
+
+
+def test_shuffle_streams_match_golden():
+    # the report bytes rest on these streams; a numpy that shuffles
+    # differently must fail here, not change the reports quietly
+    assert [np.random.default_rng((0, i)).permutation(10).tolist() for i in range(3)] == [
+        [4, 6, 2, 7, 3, 5, 9, 0, 8, 1],
+        [9, 1, 3, 8, 7, 6, 0, 4, 2, 5],
+        [8, 2, 1, 0, 5, 6, 7, 4, 3, 9],
+    ]
 
 
 def test_workers_below_one_rejected():
