@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import InputError, SpotvolError
-from .ingest import DEFAULT_ZONE, FORMATS, DstPolicy
+from .ingest import FORMATS, DstPolicy
 from .pipeline import RunConfig, analyze_trend, analyze_year, assemble_report, load_matrix
 from .reports import read_json, series_to_long_csv
 from .residual_stats import ESTIMATORS
@@ -65,8 +65,8 @@ def _add_ingest_flags(parser: argparse.ArgumentParser, config: RunConfig):
         help=f"input CSV layout (default: {config.input_format}, header timestamp,price)",
     )
     parser.add_argument(
-        "--zone", default=DEFAULT_ZONE,
-        help=f"market time zone for wall-clock timestamps (default: {DEFAULT_ZONE})",
+        "--zone", default=config.zone,
+        help=f"market time zone for wall-clock timestamps (default: {config.zone})",
     )
     parser.add_argument(
         "--dst-policy", type=_dst_policy, default=config.dst_policy, metavar="SPRING-FALL",
@@ -245,7 +245,7 @@ def main(argv=None) -> int:
         stage = f" [{exc.stage}]" if exc.stage else ""
         print(f"error{stage}: {exc}", file=sys.stderr)
         return EXIT_INPUT if isinstance(exc, InputError) else EXIT_ANALYSIS
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

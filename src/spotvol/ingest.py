@@ -132,10 +132,6 @@ class DayMatrix:
     year: int
     manifest: dict = field(default_factory=dict)
 
-    @property
-    def n_days(self) -> int:
-        return self.values.shape[1]
-
 
 # --- CSV parsing ------------------------------------------------------------
 

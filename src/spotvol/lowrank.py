@@ -84,8 +84,6 @@ class ResidualSeries:
 
     values: np.ndarray
     imputed: np.ndarray
-    year: int | None = None
-    p: int | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -160,8 +158,6 @@ def residual_series(matrix: DayMatrix, model: RankPModel) -> ResidualSeries:
     return ResidualSeries(
         values=(a - model.approximation).ravel(order="F").copy(),
         imputed=matrix.imputed.ravel(order="F").copy(),
-        year=matrix.year,
-        p=model.p,
     )
 
 

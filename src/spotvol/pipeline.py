@@ -10,10 +10,12 @@ references inside them are relative to the report directory.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 from . import lowrank, reports, residual_stats, seasonality, trend
 from .errors import DegenerateDesign, InputError, SpotvolError
@@ -48,20 +50,20 @@ class RunConfig:
     dst_policy: DstPolicy = field(default_factory=DstPolicy)
     gap_limit: int = DEFAULT_GAP_LIMIT
     input_format: str = "long"
-    zone: str | None = None
+    zone: str = DEFAULT_ZONE
     jobs: int = 1
     out_dir: Path | None = None
 
     def __post_init__(self):
-        kinds = {"rank": int, "trim": (int, float), "permutations": int, "seed": int,
-                 "gap_limit": int, "jobs": int}
-        for name, kind in kinds.items():
+        integer = (int, "an integer")
+        kinds = {"rank": integer, "trim": ((int, float), "a number"), "permutations": integer,
+                 "seed": integer, "gap_limit": integer, "jobs": integer,
+                 "zone": (str, "a string"), "dst_policy": (DstPolicy, "a DstPolicy"),
+                 "out_dir": ((type(None), str, os.PathLike), "None, a str or an os.PathLike")}
+        for name, (kind, what) in kinds.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is int else "a number"
                 raise InputError(f"{name} must be {what}, got {value!r}")
-        if self.zone is not None and not isinstance(self.zone, str):
-            raise InputError(f"zone must be a string, got {self.zone!r}")
         least = seasonality.MIN_PERMUTATIONS
         rules = {
             "rank": (self.rank >= 1, "be >= 1"),
@@ -104,16 +106,20 @@ def _stage(name: str):
 
 
 def load_matrix(source, config: RunConfig) -> DayMatrix:
-    """Parse a CSV path (or take an already parsed PriceSeries) and
-    calendarize it into the year's day matrix."""
-    if isinstance(source, PriceSeries):
-        series = source
-    else:
-        zone = DEFAULT_ZONE if config.zone is None else config.zone
+    """The year's day matrix: a DayMatrix as is, a PriceSeries
+    calendarized, anything else parsed as a CSV path, then calendarized."""
+    if isinstance(source, DayMatrix):
+        return source
+    if not isinstance(source, PriceSeries):
         with _stage("ingest"):
-            series = parse_price_csv(source, format=config.input_format, zone=zone)
+            source = parse_price_csv(source, format=config.input_format, zone=config.zone)
     with _stage("calendarize"):
-        return calendarize(series, policy=config.dst_policy, gap_limit=config.gap_limit)
+        return calendarize(source, policy=config.dst_policy, gap_limit=config.gap_limit)
+
+
+def _input_name(year_input) -> str | None:
+    """The file name of a path input; None for an in-memory one."""
+    return Path(year_input).name if isinstance(year_input, (str, Path)) else None
 
 
 def analyze_year(config: RunConfig, year_input) -> dict:
@@ -124,14 +130,7 @@ def analyze_year(config: RunConfig, year_input) -> dict:
     config.out_dir whenever it is set; the report's "files" section lists
     them by name.
     """
-    source_name = None
-    if isinstance(year_input, DayMatrix):
-        matrix = year_input
-    else:
-        if not isinstance(year_input, PriceSeries):
-            source_name = Path(year_input).name
-        matrix = load_matrix(year_input, config)
-
+    matrix = load_matrix(year_input, config)
     with _stage("decompose"):
         decomposition = lowrank.decompose(matrix)
     with _stage("truncate"):
@@ -159,7 +158,7 @@ def analyze_year(config: RunConfig, year_input) -> dict:
     }
     report = {
         "year": year,
-        "source": source_name,
+        "source": _input_name(year_input),
         "config": config.echo(),
         "manifest": matrix.manifest,
         "spectrum": {
@@ -205,12 +204,11 @@ def analyze_year(config: RunConfig, year_input) -> dict:
     return report
 
 
-def trend_from_year_reports(year_reports: list[dict]) -> tuple[dict, list[dict]]:
-    """Fit the multi-year trend from per-year reports.
+def trend_from_year_reports(year_reports: list[dict]) -> dict:
+    """Fit the multi-year trend from per-year reports; return the trend report.
 
-    Returns (trend report dict, per-year CSV rows).  Raises InputError if
-    two reports share a year, and DegenerateDesign (from trend.fit_trend)
-    for fewer than trend.MIN_YEARS years.
+    Raises InputError if two reports share a year, and DegenerateDesign
+    (from trend.fit_trend) for fewer than trend.MIN_YEARS years.
     """
     year_reports = sorted(year_reports, key=lambda r: r["year"])
     years = [r["year"] for r in year_reports]
@@ -218,23 +216,7 @@ def trend_from_year_reports(year_reports: list[dict]) -> tuple[dict, list[dict]]
         raise InputError(f"duplicate years among the inputs: {years}")
     mu_points = [(r["year"], r["residuals"]["mu_hat"]) for r in year_reports]
     fit = trend.fit_trend(mu_points)
-    # the top-tail medians are only collected, in year order; no law is fitted
-    tails = {
-        r["year"]: float(r["residuals"]["tail_median"])
-        for r in year_reports
-        if r["residuals"]["tail_median"] is not None
-    }
-
-    rows = [
-        {
-            "year": year,
-            "mu_hat": mu_hat,
-            "fitted": float(fit.fitted(year)),
-            "tail_median": tails.get(year),
-        }
-        for year, mu_hat in mu_points
-    ]
-    report = {
+    return {
         "years": years,
         "mu_hat": {str(y): m for y, m in mu_points},
         "slope": fit.slope,
@@ -242,9 +224,13 @@ def trend_from_year_reports(year_reports: list[dict]) -> tuple[dict, list[dict]]
         "ci95": [fit.ci95[0], fit.ci95[1]],
         "stderr": fit.stderr,
         "dof": fit.dof,
-        "tail_median": {str(y): v for y, v in tails.items()},
+        # the top-tail medians are only collected, in year order; no law is fitted
+        "tail_median": {
+            str(r["year"]): float(r["residuals"]["tail_median"])
+            for r in year_reports
+            if r["residuals"]["tail_median"] is not None
+        },
     }
-    return report, rows
 
 
 def _spectrum_rows(year_reports: list[dict]) -> list[dict]:
@@ -254,14 +240,16 @@ def _spectrum_rows(year_reports: list[dict]) -> list[dict]:
     )
 
 
-def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict], out_dir) -> dict:
-    """Fit the trend and build the combined report; write trend.json,
-    spectrum.csv and (when a trend was fitted) trend.csv to out_dir when it
-    is set.  Too few years leave "trend" None; duplicate years raise."""
+def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict], out_dir,
+                        staged=()) -> dict:
+    """Fit the trend and build the combined report; when out_dir is set,
+    move the staged year files into it, then write trend.json, spectrum.csv
+    and (when a trend was fitted) trend.csv.  Too few years leave "trend"
+    None; duplicate years raise before anything is moved or written."""
     try:
-        trend_report, rows = trend_from_year_reports(year_reports)
+        trend_report = trend_from_year_reports(year_reports)
     except DegenerateDesign:
-        trend_report = rows = None
+        trend_report = None
     combined = {
         "config": echo,
         "years": sorted(r["year"] for r in year_reports),
@@ -272,8 +260,10 @@ def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict]
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        if rows is not None:
-            reports.write_trend_csv(out / "trend.csv", rows)
+        for path in staged:
+            os.replace(path, out / path.name)
+        if trend_report is not None:
+            reports.write_trend_csv(out / "trend.csv", trend_report)
         reports.write_spectrum_csv(out / "spectrum.csv", _spectrum_rows(year_reports))
         reports.write_json(out / "trend.json", combined)
     return combined
@@ -287,29 +277,35 @@ def analyze_trend(config: RunConfig, year_inputs: list) -> dict:
     (a path input by its file name, any other input by its 1-based
     position, "#3").  The combined report (trend fit, or None below
     trend.MIN_YEARS analyzed years; per-year summaries; error records) is
-    written by _write_trend_report when config.out_dir is set.
+    written by _write_trend_report when config.out_dir is set.  Each year
+    writes into its own staging directory first, so inputs sharing a year
+    raise InputError and leave nothing of the run in config.out_dir.
     """
-    def run_one(item) -> tuple[dict | None, SpotvolError | None]:
-        try:
-            return analyze_year(config, item), None
-        except SpotvolError as exc:
-            return None, exc
+    out = config.out_dir
+    if out is not None:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    staging = nullcontext() if out is None else TemporaryDirectory(prefix=".staging-", dir=out)
+    with staging as stage:
 
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        outcomes = list(pool.map(run_one, year_inputs))
-    results = [report for report, _ in outcomes if report is not None]
-    errors = [
-        {
-            "input": Path(item).name if isinstance(item, (str, Path)) else f"#{position}",
-            "stage": exc.stage,
-            "error": type(exc).__name__,
-            "category": "input" if isinstance(exc, InputError) else "analysis",
-            "message": str(exc),
-        }
-        for position, (item, (_, exc)) in enumerate(zip(year_inputs, outcomes), start=1)
-        if exc is not None
-    ]
-    return _write_trend_report(config.echo(), results, errors, config.out_dir)
+        def run_one(position: int, item) -> tuple[dict | None, dict | None]:
+            own = config if out is None else replace(config, out_dir=Path(stage, str(position)))
+            try:
+                return analyze_year(own, item), None
+            except SpotvolError as exc:
+                return None, {
+                    "input": _input_name(item) or f"#{position}",
+                    "stage": exc.stage,
+                    "error": type(exc).__name__,
+                    "category": "input" if isinstance(exc, InputError) else "analysis",
+                    "message": str(exc),
+                }
+
+        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+            outcomes = list(pool.map(run_one, range(1, len(year_inputs) + 1), year_inputs))
+        results = [report for report, _ in outcomes if report is not None]
+        errors = [error for _, error in outcomes if error is not None]
+        staged = () if out is None else sorted(Path(stage).glob("*/*"))
+        return _write_trend_report(config.echo(), results, errors, out, staged)
 
 
 def load_year_report(path) -> dict:

@@ -113,14 +113,11 @@ def write_histogram_csv(path: Path, histogram: list[dict]) -> None:
     _write_rows(path, header, map(itemgetter(*header), histogram))
 
 
-def write_trend_csv(path: Path, rows: list[dict]) -> None:
-    """Per-year summary: year,mu_hat,fitted,tail_median (empty if absent).
-
-    mu_hat comes from year reports read back from disk, where a hand-edited
-    value may be an int; it is written as a float all the same.
-    """
-    out = []
-    for r in rows:
-        tail = r.get("tail_median")
-        out.append([r["year"], float(r["mu_hat"]), r["fitted"], "" if tail is None else tail])
-    _write_rows(path, ["year", "mu_hat", "fitted", "tail_median"], out)
+def write_trend_csv(path: Path, trend_report: dict) -> None:
+    """Per-year rows of a trend report: year,mu_hat,fitted,tail_median (empty
+    if absent), fitted = intercept + slope * year.  A hand-edited year report
+    may hold an int mu_hat; it is written as a float all the same."""
+    t = trend_report
+    rows = [(y, float(t["mu_hat"][str(y)]), t["intercept"] + t["slope"] * y,
+             t["tail_median"].get(str(y), "")) for y in t["years"]]
+    _write_rows(path, ["year", "mu_hat", "fitted", "tail_median"], rows)

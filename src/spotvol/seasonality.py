@@ -41,16 +41,19 @@ class SeasonalityTest:
     samples: np.ndarray = field(repr=False, default=None)
 
 
-def _edge_weights(n: int) -> np.ndarray:
-    """Squared rescaled hour positions x(h)^2 / 1000 for h = 1..n.
+def _abs_and_weights(residuals: ResidualSeries | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|R(h)| in temporal order and the edge weights x(h)^2 / 1000, h = 1..n.
 
     x(h) = (h - h_m)/h_m with h_m = n/2 maps the year onto roughly
     [-1, 1], zero at midyear; the 1/1000 keeps the statistic O(10).
     """
-    h = np.arange(1, n + 1, dtype=float)
-    h_m = n / 2.0
-    x = (h - h_m) / h_m
-    return x * x / 1000.0
+    values = residuals.values if isinstance(residuals, ResidualSeries) else residuals
+    r = np.abs(np.asarray(values, dtype=float))
+    if r.size < 2:
+        raise EmptySeries(f"need at least 2 residuals, got {r.size}")
+    h_m = r.size / 2.0
+    x = (np.arange(1, r.size + 1, dtype=float) - h_m) / h_m
+    return r, x * x / 1000.0
 
 
 def angular_momentum(residuals: ResidualSeries | np.ndarray) -> float:
@@ -60,11 +63,8 @@ def angular_momentum(residuals: ResidualSeries | np.ndarray) -> float:
     temporal order (calendar-filled cells carry their interpolated
     values, keeping the midyear pivot h_m = n/2 intact).
     """
-    values = residuals.values if isinstance(residuals, ResidualSeries) else residuals
-    r = np.abs(np.asarray(values, dtype=float))
-    if r.size < 2:
-        raise EmptySeries(f"need at least 2 residuals, got {r.size}")
-    return float(r @ _edge_weights(r.size))
+    r, w = _abs_and_weights(residuals)
+    return float(r @ w)
 
 
 @functools.lru_cache(maxsize=2)
@@ -105,16 +105,11 @@ def permutation_test(
         raise TooFewPermutations(
             f"need at least {MIN_PERMUTATIONS} permutations, got {n_permutations}"
         )
-    values = residuals.values if isinstance(residuals, ResidualSeries) else residuals
-    r = np.abs(np.asarray(values, dtype=float))
-    if r.size < 2:
-        raise EmptySeries(f"need at least 2 residuals, got {r.size}")
-
+    r, w = _abs_and_weights(residuals)
     workers = usable_cores() if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    w = _edge_weights(r.size)
     l_obs = float(r @ w)
     samples = np.empty(n_permutations)
     states = _seeded_states(seed, n_permutations)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import DegenerateDesign
 
@@ -64,6 +63,8 @@ def fit_trend(points: list[tuple[int, float]]) -> VolatilityTrend:
     dof = n - 2
     rss = float(resid @ resid)
     stderr = float(np.sqrt(rss / dof / sxx))
+    # imported here, not at module level: scipy.special is most of the import time of spotvol
+    from scipy.special import stdtrit
     t = float(stdtrit(dof, 0.975))  # the Student t quantile scipy.stats.t.ppf returns
     half = t * stderr
     return VolatilityTrend(

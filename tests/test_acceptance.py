@@ -178,7 +178,7 @@ def test_criterion_7_real_data_reproduction():
 
     from spotvol.pipeline import trend_from_year_reports
 
-    trend_report, _ = trend_from_year_reports(reports)
+    trend_report = trend_from_year_reports(reports)
     slope = trend_report["slope"]
     ci = trend_report["ci95"]
 

@@ -13,6 +13,7 @@ from spotvol.cli import _config_from_args, build_parser, main
 from spotvol.errors import InputError
 from spotvol.ingest import DEFAULT_ZONE, DstPolicy
 from spotvol.pipeline import RunConfig, trend_from_year_reports
+from spotvol.reports import write_trend_csv
 from conftest import rank2_spec
 
 
@@ -133,6 +134,8 @@ def test_analyze_trend_three_years(tmp_path, capsys):
     assert len(spectrum) == 1 + 3 * 24
     for year in (2014, 2015, 2016):
         assert (out / f"year_{year}.json").exists()
+    # the year files were moved out of their staging directories, which are gone
+    assert all(p.is_file() and not p.name.startswith(".") for p in out.iterdir())
 
 
 def test_analyze_trend_jobs_parallel_matches_serial(tmp_path):
@@ -201,15 +204,18 @@ def test_report_rebuilds_trend_from_year_reports(tmp_path):
     assert (out / "spectrum.csv").read_bytes() == (rebuilt / "spectrum.csv").read_bytes()
 
 
-def test_trend_from_reports_mu_4_3_2_exact():
+def test_trend_from_reports_mu_4_3_2_exact(tmp_path):
     def fake_report(year, mu):
         return {"year": year, "residuals": {"mu_hat": mu, "tail_median": None}}
 
-    report, rows = trend_from_year_reports(
+    report = trend_from_year_reports(
         [fake_report(2014, 4.0), fake_report(2015, 3.0), fake_report(2016, 2.0)]
     )
     assert report["slope"] == -1.0
-    assert [r["fitted"] for r in rows] == [4.0, 3.0, 2.0]
+    write_trend_csv(tmp_path / "trend.csv", report)
+    assert (tmp_path / "trend.csv").read_text().splitlines()[1:] == [
+        "2014,4.0,4.0,", "2015,3.0,3.0,", "2016,2.0,2.0,"
+    ]
 
 
 def test_exit_codes(tmp_path):
@@ -287,6 +293,7 @@ def test_library_analyze_year_without_files(tmp_path):
     report = sv.analyze_year(config, series)
     assert report["year"] == 2016
     assert report["source"] is None
+    assert report["config"]["zone"] == DEFAULT_ZONE
     assert not list(tmp_path.iterdir())
 
 
@@ -532,6 +539,10 @@ _INVALID_TYPES = [
     ("gap_limit", 6.0, "gap_limit must be an integer, got 6.0"),
     ("jobs", True, "jobs must be an integer, got True"),
     ("zone", 5, "zone must be a string, got 5"),
+    ("zone", None, "zone must be a string, got None"),
+    ("dst_policy", "hold-first", "dst_policy must be a DstPolicy, got 'hold-first'"),
+    ("dst_policy", None, "dst_policy must be a DstPolicy, got None"),
+    ("out_dir", 5, "out_dir must be None, a str or an os.PathLike, got 5"),
 ]
 
 
@@ -715,3 +726,34 @@ def test_year_outside_datetime_range_is_a_calendarize_error(tmp_path):
     assert (record["input"], record["stage"], record["error"]) == (
         "far.csv", "calendarize", "WrongYearSpan"
     )
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_duplicate_years_leave_nothing_in_out(tmp_path, capsys, jobs):
+    first = make_year_csv(tmp_path)
+    copies = [first, shutil.copy(first, tmp_path / "a.csv"), shutil.copy(first, tmp_path / "b.csv")]
+    out = tmp_path / "out"
+    argv = ["analyze-trend", *map(str, copies), "--zone", "UTC", "--out", str(out), "--jobs", jobs]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: duplicate years among the inputs: [2016, 2016, 2016]\n"
+    # no year report, CSV, trend.json or staging directory is left behind
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["synth", "analyze-year", "analyze-trend"])
+def test_unusable_out_is_an_input_error(tmp_path, capsys, command):
+    spec = tmp_path / "spec.json"
+    write_spec(spec)
+    if command == "synth":
+        # an existing directory where the output file should go
+        argv = ["synth", str(spec), "--out", str(tmp_path)]
+    else:
+        # an existing file where the output directory should go
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        argv = [command, str(make_year_csv(tmp_path)), "--zone", "UTC", "--out", str(taken)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1

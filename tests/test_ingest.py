@@ -270,6 +270,28 @@ def test_wrong_year_span():
         sv.calendarize(parse(text, zone="UTC"))
 
 
+def utc_year_series(extra=(), **kwargs):
+    """A hand-built UTC PriceSeries of every hour of 2016, plus extra instants."""
+    start = epoch_hours("2016-01-01T00")
+    hours = np.sort(np.r_[np.arange(start, start + 8784), np.asarray(extra, dtype=np.int64)])
+    return sv.PriceSeries(hours, np.ones(hours.size), np.ones(hours.size, bool), zone="UTC", **kwargs)
+
+
+def test_instant_given_twice_in_a_built_series_rejected():
+    series = utc_year_series([epoch_hours("2016-01-01T04")])
+    with pytest.raises(DuplicateTimestamp) as info:
+        sv.calendarize(series)
+    assert str(info.value) == (
+        "wall slot 2016-01-01T04:00:00 observed 2 times but is not a DST fall-back hour"
+    )
+
+
+def test_built_series_labeled_with_another_year_rejected():
+    with pytest.raises(WrongYearSpan) as info:
+        sv.calendarize(utc_year_series(year=2015))
+    assert str(info.value) == "series labeled 2015 but data lie in 2016"
+
+
 def test_calendarize_deterministic():
     text = berlin_year_csv(2016)
     a = sv.calendarize(parse(text))

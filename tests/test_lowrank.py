@@ -134,7 +134,6 @@ def test_residual_series_alignment_and_mask():
     assert resid.imputed[flat_index]
     expected = matrix.values[3, 10] - model.approximation[3, 10]
     assert resid.values[flat_index] == expected
-    assert resid.year == 2016 and resid.p == 2
 
 
 def test_residual_series_shape_mismatch():

@@ -8,15 +8,16 @@ from spotvol.lowrank import RankPModel
 
 
 def test_trend_csv_leaves_absent_tail_median_empty(tmp_path):
+    # fitted is intercept + slope * year: 0.1 + 2014 / 3 and 0.1 + 2015 / 3
     path = tmp_path / "trend.csv"
-    reports.write_trend_csv(path, [
-        {"year": 2014, "mu_hat": 4.0, "fitted": 3.5, "tail_median": None},
-        {"year": 2015, "mu_hat": 3.0, "fitted": 1 / 3, "tail_median": 7.25},
-    ])
+    reports.write_trend_csv(path, {
+        "years": [2014, 2015], "mu_hat": {"2014": 4.0, "2015": 3.0},
+        "intercept": 0.1, "slope": 1 / 3, "tail_median": {"2015": 7.25},
+    })
     assert path.read_bytes() == (
         b"year,mu_hat,fitted,tail_median\n"
-        b"2014,4.0,3.5,\n"
-        b"2015,3.0,0.3333333333333333,7.25\n"
+        b"2014,4.0,671.4333333333333,\n"
+        b"2015,3.0,671.7666666666667,7.25\n"
     )
 
 
@@ -81,7 +82,10 @@ def test_spectrum_csv_writes_edge_floats_in_shortest_form(tmp_path):
 def test_trend_csv_writes_an_integer_mu_hat_as_a_float(tmp_path):
     # a hand-edited year report may hold "mu_hat": 4
     path = tmp_path / "trend.csv"
-    reports.write_trend_csv(path, [{"year": 2014, "mu_hat": 4, "fitted": 4.0, "tail_median": 9.5}])
+    reports.write_trend_csv(path, {
+        "years": [2014], "mu_hat": {"2014": 4}, "intercept": 4.0, "slope": 0.0,
+        "tail_median": {"2014": 9.5},
+    })
     assert path.read_bytes() == b"year,mu_hat,fitted,tail_median\n2014,4.0,4.0,9.5\n"
 
 

@@ -1,11 +1,17 @@
 """OLS volatility trend with t-based confidence interval; tail medians by year."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import spotvol as sv
 from spotvol import DegenerateDesign
 from spotvol.pipeline import trend_from_year_reports
+from spotvol.reports import write_trend_csv
 
 
 def test_perfect_line_recovered_exactly():
@@ -94,31 +100,52 @@ def fake_report(year, mu, tail):
     return {"year": year, "residuals": {"mu_hat": mu, "tail_median": tail}}
 
 
-def test_tail_trend_orders_by_year():
+def trend_csv_tails(tmp_path, report):
+    """The year and tail_median columns of the trend.csv written from report."""
+    path = tmp_path / "trend.csv"
+    write_trend_csv(path, report)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [(int(year), tail) for year, _, _, tail in rows]
+
+
+def test_tail_trend_orders_by_year(tmp_path):
     # reports arriving out of year order
-    report, rows = trend_from_year_reports(
+    report = trend_from_year_reports(
         [fake_report(2016, 2.0, 9.0), fake_report(2014, 4.0, 20.0), fake_report(2015, 3.0, 15.0)]
     )
     assert list(report["tail_median"]) == ["2014", "2015", "2016"]
     assert list(report["tail_median"].values()) == [20.0, 15.0, 9.0]
     assert len(report["tail_median"]) == 3
-    assert [(r["year"], r["tail_median"]) for r in rows] == [
-        (2014, 20.0), (2015, 15.0), (2016, 9.0)
-    ]
+    assert trend_csv_tails(tmp_path, report) == [(2014, "20.0"), (2015, "15.0"), (2016, "9.0")]
 
 
-def test_tail_trend_single_pair():
+def test_tail_trend_single_pair(tmp_path):
     # one tail median among years without one
-    report, rows = trend_from_year_reports(
+    report = trend_from_year_reports(
         [fake_report(2016, 2.0, 9.1), fake_report(2014, 4.0, None), fake_report(2015, 3.0, None)]
     )
     assert report["tail_median"] == {"2016": 9.1}
-    assert [r["tail_median"] for r in rows] == [None, None, 9.1]
+    assert trend_csv_tails(tmp_path, report) == [(2014, ""), (2015, ""), (2016, "9.1")]
 
 
-def test_tail_trend_keeps_monotone_shape():
+def test_tail_trend_keeps_monotone_shape(tmp_path):
     # a monotone tail keeps its shape whatever order the reports come in
     shuffled = [fake_report(2006 + k, 5.0, 20.0 - k) for k in (3, 0, 5, 1, 4, 2)]
-    values = list(trend_from_year_reports(shuffled)[0]["tail_median"].values())
+    report = trend_from_year_reports(shuffled)
+    values = list(report["tail_median"].values())
     assert len(values) == 6
     assert all(b < a for a, b in zip(values, values[1:]))
+    assert [float(tail) for _, tail in trend_csv_tails(tmp_path, report)] == values
+
+
+def test_importing_spotvol_leaves_scipy_unloaded():
+    # scipy is imported by fit_trend alone, so the CLI starts without it
+    code = (
+        "import sys, spotvol, spotvol.cli;"
+        "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), 'scipy loaded';"
+        "spotvol.fit_trend([(2014, 4.0), (2015, 3.0), (2016, 2.0)]);"
+        "assert 'scipy.special' in sys.modules"
+    )
+    src = str(Path(sv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
