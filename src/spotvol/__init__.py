@@ -41,7 +41,6 @@ from .lowrank import (
     SpectralDecomposition,
     decompose,
     residual_series,
-    spectrum_report,
     truncate,
 )
 from .pipeline import RunConfig, analyze_trend, analyze_year, assemble_report
@@ -125,7 +124,6 @@ __all__ = [
     "residual_series",
     "series_to_long_csv",
     "spec_from_json",
-    "spectrum_report",
     "tail_median",
     "truncate",
     "u_shaped_modulation",

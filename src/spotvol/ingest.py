@@ -154,7 +154,8 @@ def _read_text(source) -> str:
         # utf-8-sig drops the byte-order mark spreadsheet exports often start with
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise MalformedRow(0, f"input is not UTF-8 text: {exc}") from exc
+        line = exc.object.count(b"\n", 0, exc.start) + 1  # object: the bytes after the mark
+        raise MalformedRow(line, f"input is not UTF-8 text: {exc}") from exc
 
 
 def _parse_timestamp(text: str, line_no: int) -> datetime:

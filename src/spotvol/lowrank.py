@@ -160,18 +160,3 @@ def residual_series(matrix: DayMatrix, model: RankPModel) -> ResidualSeries:
         imputed=matrix.imputed.ravel(order="F").copy(),
     )
 
-
-def spectrum_report(spectra: dict[int, tuple]) -> list[dict]:
-    """Year-by-component spectrum table, raw and normalized by sigma_1.
-
-    spectra maps each year to its (sigma, sigma_normalized) sequences,
-    e.g. a SpectralDecomposition's singular_values and sigma_normalized,
-    or the lists in a year report.  Rows are dicts with keys year, k
-    (1-based), sigma, sigma_normalized, ordered by year then k; ready for
-    CSV export.
-    """
-    return [
-        {"year": int(year), "k": k, "sigma": float(s), "sigma_normalized": float(sn)}
-        for year in sorted(spectra)
-        for k, (s, sn) in enumerate(zip(*spectra[year]), start=1)
-    ]

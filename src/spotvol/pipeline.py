@@ -11,6 +11,7 @@ references inside them are relative to the report directory.
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
@@ -127,9 +128,11 @@ def analyze_year(config: RunConfig, year_input) -> dict:
 
     year_input may be a CSV path, an already parsed PriceSeries, or a
     DayMatrix.  Files (report JSON plus plot CSVs) are written to
-    config.out_dir whenever it is set; the report's "files" section lists
-    them by name.
+    config.out_dir whenever it is set, which is made before any work; the
+    report's "files" section lists them by name.
     """
+    if config.out_dir is not None:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     matrix = load_matrix(year_input, config)
     with _stage("decompose"):
         decomposition = lowrank.decompose(matrix)
@@ -191,8 +194,7 @@ def analyze_year(config: RunConfig, year_input) -> dict:
 
     if config.out_dir is not None:
         out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        reports.write_spectrum_csv(out / file_names["spectrum"], _spectrum_rows([report]))
+        reports.write_spectrum_csv(out / file_names["spectrum"], [report])
         reports.write_profiles_csv(out / file_names["profiles"], model)
         reports.write_amplitudes_csv(out / file_names["amplitudes"], model)
         reports.write_probplot_csv(out / file_names["probplot"], analysis.probplot)
@@ -233,13 +235,6 @@ def trend_from_year_reports(year_reports: list[dict]) -> dict:
     }
 
 
-def _spectrum_rows(year_reports: list[dict]) -> list[dict]:
-    spectra = {r["year"]: r["spectrum"] for r in year_reports}
-    return lowrank.spectrum_report(
-        {year: (s["sigma"], s["sigma_normalized"]) for year, s in spectra.items()}
-    )
-
-
 def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict], out_dir,
                         staged=()) -> dict:
     """Fit the trend and build the combined report; when out_dir is set,
@@ -264,7 +259,7 @@ def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict]
             os.replace(path, out / path.name)
         if trend_report is not None:
             reports.write_trend_csv(out / "trend.csv", trend_report)
-        reports.write_spectrum_csv(out / "spectrum.csv", _spectrum_rows(year_reports))
+        reports.write_spectrum_csv(out / "spectrum.csv", year_reports)
         reports.write_json(out / "trend.json", combined)
     return combined
 
@@ -308,15 +303,30 @@ def analyze_trend(config: RunConfig, year_inputs: list) -> dict:
         return _write_trend_report(config.echo(), results, errors, out, staged)
 
 
+# a JSON number that is a finite double: not a bool, NaN, an infinity or an int out of float range
+def _finite(value) -> bool:
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def load_year_report(path) -> dict:
-    """Read a previously written year_<Y>.json report, holding every field
-    the combined report is built from and an integer year."""
+    """Read a year_<Y>.json written earlier; check each field the combined report uses."""
     report = reports.read_json(path, "year report", (
         "year", "config", "residuals.mu_hat", "residuals.tail_median",
         "spectrum.sigma", "spectrum.sigma_normalized",
     ))
-    if type(report["year"]) is not int:
-        raise InputError(f"{path} is not a year report (year {report['year']!r} is not an integer)")
+    residuals, spectrum = report["residuals"], report["spectrum"]
+    year, mu, tail = report["year"], residuals["mu_hat"], residuals["tail_median"]
+    sigmas = spectrum["sigma"], spectrum["sigma_normalized"]
+    for ok, problem in (
+        (type(year) is int, f"year {year!r} is not an integer"),
+        (_finite(mu), f"residuals.mu_hat {mu!r} is not a finite number"),
+        (tail is None or _finite(tail), f"residuals.tail_median {tail!r} is not a finite number"),
+        (all(isinstance(s, list) and s and all(map(_finite, s)) for s in sigmas)
+         and len(sigmas[0]) == len(sigmas[1]), "spectrum.sigma and spectrum.sigma_normalized"
+         " are not equally long, non-empty lists of finite numbers"),
+    ):
+        if not ok:
+            raise InputError(f"{path} is not a year report ({problem})")
     return report
 
 
@@ -343,8 +353,10 @@ def assemble_report(config: RunConfig, report_dir) -> dict:
     if previous.exists():
         keys = ("errors",) if year_reports else ("errors", "config", "years")
         doc = reports.read_json(previous, "trend report", keys)
-        if not isinstance(doc["errors"], list):
-            raise InputError(f"{previous} is not a trend report (errors is not a list)")
+        errors = doc["errors"]
+        if not isinstance(errors, list) or not all(
+                isinstance(e, dict) and {"input", "stage", "message"} <= e.keys() for e in errors):
+            raise InputError(f"{previous} is not a trend report (errors is not a list of records)")
         listed = doc.get("year_files", {})
         if not isinstance(listed, dict):
             raise InputError(f"{previous} is not a trend report (year_files is not an object)")

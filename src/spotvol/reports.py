@@ -77,10 +77,13 @@ def write_long_csv(path: Path, series: PriceSeries) -> None:
     Path(path).write_text(series_to_long_csv(series), encoding="utf-8", newline="\n")
 
 
-def write_spectrum_csv(path: Path, rows: list[dict]) -> None:
-    """Rows from spectrum_report: year,k,sigma,sigma_normalized."""
-    header = ["year", "k", "sigma", "sigma_normalized"]
-    _write_rows(path, header, map(itemgetter(*header), rows))
+def write_spectrum_csv(path: Path, year_reports: list[dict]) -> None:
+    """year,k,sigma,sigma_normalized for each singular value of the year
+    reports, years ascending, k from 1; an int sigma is written as a float."""
+    spectra = [(r["year"], r["spectrum"]) for r in sorted(year_reports, key=itemgetter("year"))]
+    rows = [(year, k, float(s), float(sn)) for year, sp in spectra
+            for k, (s, sn) in enumerate(zip(sp["sigma"], sp["sigma_normalized"]), start=1)]
+    _write_rows(path, ["year", "k", "sigma", "sigma_normalized"], rows)
 
 
 def _write_columns(path: Path, header: list[str], columns: np.ndarray, first: int) -> None:

@@ -327,9 +327,9 @@ def test_report_keeps_failed_year_records(tmp_path, capsys):
         assert (rebuilt / name).read_bytes() == data, name
         assert (out / name).read_bytes() == data, name
 
-    # a trend.json that cannot be read, or has no errors list, is an input error naming it
+    # an unreadable trend.json, or one without a list of error records, is an input error naming it
     capsys.readouterr()
-    for text in ("{not json", '{"errors": null}', "[]"):
+    for text in ("{not json", '{"errors": null}', "[]", '{"errors": [5]}', '{"errors": [{}]}'):
         broken = tmp_path / "broken"
         shutil.rmtree(broken, ignore_errors=True)
         shutil.copytree(out, broken)
@@ -673,6 +673,13 @@ def _drop(section, key):
     return lambda doc: doc[section].pop(key)
 
 
+def _set(section, key, value):
+    return lambda doc: doc[section].update({key: value})
+
+
+_NOT_SIGMAS = "spectrum.sigma and spectrum.sigma_normalized are not equally long, non-empty lists"
+
+
 @pytest.mark.parametrize(
     "mangle, message",
     [
@@ -687,6 +694,36 @@ def _drop(section, key):
         ),
         pytest.param(
             lambda doc: doc.update(year="2015"), "year '2015' is not an integer", id="string-year"
+        ),
+        pytest.param(
+            _set("residuals", "mu_hat", [1]), "residuals.mu_hat [1] is not a finite number",
+            id="list-mu_hat",
+        ),
+        pytest.param(
+            _set("residuals", "mu_hat", float("nan")), "residuals.mu_hat nan is not a finite",
+            id="nan-mu_hat",
+        ),
+        pytest.param(
+            _set("residuals", "mu_hat", True), "residuals.mu_hat True is not a finite",
+            id="bool-mu_hat",
+        ),
+        pytest.param(
+            _set("residuals", "mu_hat", 10**400), "residuals.mu_hat 1000", id="huge-int-mu_hat"
+        ),
+        pytest.param(
+            _set("residuals", "tail_median", "x"), "residuals.tail_median 'x' is not a finite",
+            id="string-tail_median",
+        ),
+        pytest.param(_set("spectrum", "sigma", 5), _NOT_SIGMAS, id="int-sigma"),
+        pytest.param(_set("spectrum", "sigma", "abc"), _NOT_SIGMAS, id="string-sigma"),
+        pytest.param(_set("spectrum", "sigma", [2.0]), _NOT_SIGMAS, id="short-sigma"),
+        pytest.param(
+            _set("spectrum", "sigma_normalized", [1.0, float("inf")]), _NOT_SIGMAS,
+            id="inf-sigma_normalized",
+        ),
+        pytest.param(
+            lambda doc: doc["spectrum"].update(sigma=[], sigma_normalized=[]), _NOT_SIGMAS,
+            id="empty-sigmas",
         ),
     ],
 )
@@ -742,7 +779,7 @@ def test_duplicate_years_leave_nothing_in_out(tmp_path, capsys, jobs):
 
 
 @pytest.mark.parametrize("command", ["synth", "analyze-year", "analyze-trend"])
-def test_unusable_out_is_an_input_error(tmp_path, capsys, command):
+def test_unusable_out_is_an_input_error(tmp_path, capsys, monkeypatch, command):
     spec = tmp_path / "spec.json"
     write_spec(spec)
     if command == "synth":
@@ -753,6 +790,11 @@ def test_unusable_out_is_an_input_error(tmp_path, capsys, command):
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")
         argv = [command, str(make_year_csv(tmp_path)), "--zone", "UTC", "--out", str(taken)]
+
+    def no_analysis(matrix):
+        raise AssertionError("a year was analysed before its --out was made")
+
+    monkeypatch.setattr("spotvol.lowrank.decompose", no_analysis)
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -130,6 +130,21 @@ def test_utf8_byte_order_mark_accepted(tmp_path):
     assert len(sv.parse_price_csv(wide.encode("utf-8"), format="wide")) == 24
 
 
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+def test_non_utf8_input_names_its_line(tmp_path, mark):
+    # a Latin-1 e-acute opens line 4
+    data = mark + (
+        "timestamp,price\n2016-07-01T13:00Z,1.0\n2016-07-01T14:00Z,2.0\n"
+        "\u00e92016-07-01T15:00Z,3.0\n"
+    ).encode("latin-1")
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    for source in (path, data):
+        with pytest.raises(MalformedRow, match="^line 4: input is not UTF-8 text") as info:
+            sv.parse_price_csv(source)
+        assert info.value.line_number == 4
+
+
 def test_empty_inputs():
     with pytest.raises(EmptyInput):
         parse("")

@@ -6,6 +6,7 @@ from scipy import linalg
 
 import spotvol as sv
 from spotvol import NonFiniteInput, RankOutOfRange, ShapeMismatch
+from spotvol.reports import write_spectrum_csv
 from conftest import rank2_spec
 
 
@@ -162,23 +163,28 @@ def test_non_finite_cells_reported():
     assert (4, 2) in info.value.cells and (7, 9) in info.value.cells
 
 
-def test_spectrum_report_rows():
+def test_spectrum_report_rows(tmp_path):
     rank1 = np.outer(np.arange(1.0, 25.0), np.ones(30))
     a, b = sv.decompose(rank1), sv.decompose(rank1)
-    rows = sv.spectrum_report({
-        2015: (a.singular_values, a.sigma_normalized),
-        2014: (b.singular_values, b.sigma_normalized),
-    })
-    assert [r["year"] for r in rows[:2]] == [2014, 2014]
-    first = [r for r in rows if r["year"] == 2014]
-    assert first[0]["k"] == 1 and first[0]["sigma_normalized"] == 1.0
-    assert all(r["sigma_normalized"] < 1e-12 for r in first[1:])
+    path = tmp_path / "spectrum.csv"
+    # out of year order; 2015 holds the decomposition's arrays, 2014 the
+    # float lists a year report holds
+    write_spectrum_csv(path, [
+        {"year": 2015, "spectrum": {"sigma": a.singular_values,
+                                    "sigma_normalized": a.sigma_normalized}},
+        {"year": 2014, "spectrum": {"sigma": b.singular_values.tolist(),
+                                    "sigma_normalized": b.sigma_normalized.tolist()}},
+    ])
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    assert header == "year,k,sigma,sigma_normalized"
+    rows = [line.split(",") for line in lines]
+    assert [r[0] for r in rows[:2]] == ["2014", "2014"]
+    first = [r[1:] for r in rows if r[0] == "2014"]
+    assert [int(k) for k, _, _ in first] == list(range(1, 25))
+    assert first[0][2] == "1.0"
+    assert all(float(sn) < 1e-12 for _, _, sn in first[1:])
     # identical input years produce identical rows
-    second = [r for r in rows if r["year"] == 2015]
-    assert [(r["k"], r["sigma"]) for r in first] == [(r["k"], r["sigma"]) for r in second]
-    # the float lists of a year report give the same rows
-    lists = {2014: (b.singular_values.tolist(), b.sigma_normalized.tolist())}
-    assert sv.spectrum_report(lists) == first
+    assert [r[1:] for r in rows if r[0] == "2015"] == first
 
 
 def test_energy_fraction_monotone():

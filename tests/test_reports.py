@@ -70,13 +70,14 @@ def test_probplot_csv_writes_edge_floats_in_shortest_form(tmp_path):
 def test_spectrum_csv_writes_edge_floats_in_shortest_form(tmp_path):
     path = tmp_path / "spectrum.csv"
     reports.write_spectrum_csv(path, [
-        {"year": 2016, "k": k, "sigma": s, "sigma_normalized": sn}
-        for k, (s, sn) in enumerate(zip(EDGE_FLOATS, EDGE_FLOATS[::-1]), start=1)
+        # a hand-edited year report may hold an int sigma
+        {"year": 2017, "spectrum": {"sigma": [2], "sigma_normalized": [1]}},
+        {"year": 2016, "spectrum": {"sigma": EDGE_FLOATS, "sigma_normalized": EDGE_FLOATS[::-1]}},
     ])
     assert path.read_bytes() == b"year,k,sigma,sigma_normalized\n" + b"".join(
         b"2016,%d,%s,%s\n" % (k, s, sn)
         for k, (s, sn) in enumerate(zip(EDGE_TEXT, EDGE_TEXT[::-1]), start=1)
-    )
+    ) + b"2017,1,2.0,1.0\n"
 
 
 def test_trend_csv_writes_an_integer_mu_hat_as_a_float(tmp_path):

@@ -1,0 +1,142 @@
+"""Byte-identity harness: run a fixed set of spotvol CLI commands against one
+source tree and write a JSON manifest of everything they produced.
+
+    python tools/cli_bytes.py --src <tree>/src --out manifest.json
+
+The commands run in a fresh work directory and name their files by
+relative paths, so the manifests of two trees compare directly:
+
+    python tools/cli_bytes.py --src parent/src --out parent.json
+    python tools/cli_bytes.py --src src --out change.json
+    cmp parent.json change.json
+
+The manifest holds the sha256 of every file left in the work directory
+(inputs and outputs) and each command's argv, exit code, stdout and
+stderr; a stream longer than STREAM_LIMIT characters is kept as its
+sha256.  The last bits of a float depend on the BLAS build, so compare
+manifests made on one machine only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
+from zoneinfo import ZoneInfo
+
+STREAM_LIMIT = 4096
+
+# year -> (residual_mu, seed) of the synthetic years; 2017 goes to stdout
+YEARS = {2013: (5.0, 4), 2014: (4.0, 1), 2015: (3.0, 2), 2016: (2.0, 3), 2017: (2.5, 5)}
+TRENDS = [f"prices_{year}.csv" for year in (2013, 2014, 2015, 2016)]
+UTC = ["--zone", "UTC"]
+
+COMMANDS = [
+    *(["synth", f"spec_{year}.json", "--out", f"prices_{year}.csv"] for year in range(2013, 2017)),
+    ["synth", "spec_2017.json"],
+    ["analyze-year", "prices_2016.csv", *UTC, "--out", "year_default"],
+    ["analyze-year", "prices_2016.csv", *UTC, "--seed", "5", "--permutations", "333",
+     "--rank", "3", "--out", "year_flags"],
+    ["analyze-trend", *TRENDS, *UTC, "--jobs", "1", "--out", "trend_jobs1"],
+    ["analyze-trend", *TRENDS, *UTC, "--jobs", "2", "--out", "trend_jobs2"],
+    ["analyze-trend", *TRENDS[:3], "malformed.csv", *UTC, "--jobs", "2", "--out", "trend_malformed"],
+    ["analyze-trend", *TRENDS[:2], "malformed.csv", *UTC, "--jobs", "1", "--out", "trend_two"],
+    ["ingest-check", "prices_2016.csv", *UTC],
+    ["ingest-check", "berlin_2016.csv", "--zone", "Europe/Berlin"],
+    ["report", "trend_jobs1", "--out", "report_out"],
+    # in place, on a copy of a run with a failed year (made just before)
+    ["report", "report_in_place"],
+]
+
+
+def spec(year: int) -> dict:
+    mu, seed = YEARS[year]
+    cosine = {"kind": "cosine", "mean": 1.0, "amplitude": 0.15, "period_days": 366}
+    weekly = {"kind": "cosine", "mean": 0.0, "amplitude": 6.0, "period_days": 7}
+    return {"year": year, "residual_mu": mu, "seed": seed, "profiles": [
+        {"hourly": "double_peak", "amplitude": cosine},
+        {"hourly": "daily_sine", "amplitude": weekly},
+    ]}
+
+
+def berlin_year_csv(year: int) -> str:
+    """Naive Berlin wall-clock stamps for every real hour of the year: the
+    spring-forward hour is absent and the fall-back hour appears twice."""
+    berlin = ZoneInfo("Europe/Berlin")
+    start = datetime(year, 1, 1, tzinfo=berlin).astimezone(timezone.utc)
+    end = datetime(year + 1, 1, 1, tzinfo=berlin).astimezone(timezone.utc)
+    rows = ["timestamp,price"]
+    for i in range(int((end - start) / timedelta(hours=1))):
+        wall = (start + timedelta(hours=i)).astimezone(berlin).replace(tzinfo=None)
+        rows.append(f"{wall.isoformat()},{20.0 + i % 24}")
+    return "\n".join(rows) + "\n"
+
+
+def write_inputs(work: Path) -> None:
+    for year in YEARS:
+        (work / f"spec_{year}.json").write_text(json.dumps(spec(year)), encoding="utf-8")
+    (work / "malformed.csv").write_text(
+        "timestamp,price\n2016-01-01T00:00Z,not_a_number\n", encoding="utf-8"
+    )
+    (work / "berlin_2016.csv").write_text(berlin_year_csv(2016), encoding="utf-8")
+
+
+def stream(text: str) -> str:
+    if len(text) <= STREAM_LIMIT:
+        return text
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run(argv: list[str], work: Path, env: dict) -> dict:
+    done = subprocess.run(
+        [sys.executable, "-m", "spotvol.cli", *argv], cwd=work, env=env,
+        capture_output=True, encoding="utf-8",
+    )
+    return {"argv": argv, "exit": done.returncode,
+            "stdout": stream(done.stdout), "stderr": stream(done.stderr)}
+
+
+def manifest(src: Path) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    where = subprocess.run(
+        [sys.executable, "-c", "import spotvol; print(spotvol.__file__)"],
+        env=env, capture_output=True, encoding="utf-8", check=True,
+    ).stdout.strip()
+    if not Path(where).resolve().is_relative_to(src):
+        raise SystemExit(f"spotvol was imported from {where}, not from {src}")
+    with tempfile.TemporaryDirectory(prefix="cli-bytes-") as tmp:
+        work = Path(tmp)
+        write_inputs(work)
+        commands = []
+        for argv in COMMANDS:
+            if argv == ["report", "report_in_place"]:
+                shutil.copytree(work / "trend_malformed", work / "report_in_place")
+            commands.append(run(argv, work, env))
+        files = {
+            path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(work.rglob("*")) if path.is_file()
+        }
+    return {"commands": commands, "files": files}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, type=Path, help="the tree's src directory")
+    parser.add_argument("--out", required=True, type=Path, help="manifest JSON to write")
+    args = parser.parse_args(argv)
+    doc = manifest(args.src.resolve())
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    exits = " ".join(str(c["exit"]) for c in doc["commands"])
+    print(f"{len(doc['commands'])} commands (exit codes {exits}), {len(doc['files'])} files")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
