@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import calendar
 import io
+import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from math import isfinite
@@ -193,11 +194,88 @@ def _parse_long(lines: list[str]):
     header = [h.lower() for h in _split_csv_line(lines[0])]
     if header != ["timestamp", "price"]:
         raise MalformedRow(1, f"expected header 'timestamp,price', got {lines[0]!r}")
+    return _canonical_long(lines[1:]) or _parse_rows(lines[1:])
 
+
+# A canonical row up to its price, naive and with an offset, in its two
+# spellings ("T" or space, "+" or "-"); "#" stands for a digit.
+_STAMPS = [
+    [np.frombuffer(row, dtype=np.uint8) for row in spellings]
+    for spellings in (
+        (b"####-##-##T##:00:00,", b"####-##-## ##:00:00,"),
+        (b"####-##-##T##:00:00+##:00,", b"####-##-## ##:00:00-##:00,"),
+    )
+]
+_PRICE_BYTES = np.zeros(256, dtype=bool)
+_PRICE_BYTES[[0, *b"0123456789+-.eE"]] = True  # 0 pads a short row
+_LONGEST_ROW = _STAMPS[1][0].size + len(f"{-sys.float_info.max:.6f}")
+
+
+def _digits(m: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The decimal number in byte columns [start, stop) of each row."""
+    number = np.zeros(len(m), dtype=np.int32)
+    for column in range(start, stop):
+        number = number * 10 + (m[:, column] - 48)
+    return number
+
+
+def _canonical_long(body: list[str]):
+    """_parse_rows' result in one numpy pass, or None unless every row is
+    ``YYYY-MM-DD{T| }HH:00:00[±HH:00],<price>`` naming a real hour and a
+    finite price.  Never raises: every other body goes to _parse_rows."""
+    lengths = list(map(len, body))
+    if not body or max(lengths) > _LONGEST_ROW:
+        return None
+    try:
+        m = np.array(body, dtype="S")
+    except UnicodeEncodeError:
+        return None
+    m = m.view(np.uint8).reshape(len(body), -1)
+    # "S" drops a trailing NUL, so count them all; a naive row needs 21 bytes
+    if np.count_nonzero(m) != sum(lengths) or m.shape[1] <= 20:
+        return None
+    aware = m[:, 19] != ord(",")
+    values = np.empty(len(body))
+    offsets = np.full(len(body), _NAIVE, dtype=np.int64)
+    for rows, (row, alt) in zip((~aware, aware), _STAMPS):
+        part = m[rows]
+        if not len(part):
+            continue
+        width, digit = row.size, row == ord("#")
+        stamp = part[:, :width]
+        if part.shape[1] <= width or not (
+            (((stamp - 48) < 10) | ~digit).all() and ((stamp == row) | (stamp == alt) | digit).all()
+            and part[:, width].all() and _PRICE_BYTES[part[:, width:]].all()
+        ):
+            return None
+        prices = np.ascontiguousarray(part[:, width:]).view(f"S{part.shape[1] - width}").ravel()
+        try:
+            values[rows] = prices.astype(float)
+        except ValueError:  # not a number, such as "1e" or "1.2.3"
+            return None
+        if rows is aware:
+            hours = _digits(part, 20, 22)
+            if (hours > 23).any():
+                return None
+            offsets[rows] = np.where(part[:, 19] == ord("-"), -hours, hours)
+    if not np.isfinite(values).all():
+        return None
+    year, month, day, hour = (_digits(m, a, a + n) for a, n in ((0, 4), (5, 2), (8, 2), (11, 2)))
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    days = months.astype("datetime64[D]") + (day - 1)  # a day off its month lands in another
+    if not ((year > 0) & (month >= 1) & (month <= 12) & (days.astype("datetime64[M]") == months)
+            & (hour <= 23)).all():
+        return None
+    return days.astype(np.int64) * HOURS_PER_DAY + hour, offsets, values, list(range(2, len(body) + 2))
+
+
+def _parse_rows(body: list[str]):
+    """_parse_long's result row by row, data lines numbered from 2; the one
+    parser of odd but valid rows and of every row error."""
     fields, offsets, values, line_nos = [], [], [], []
     offset_of = {}  # tzinfo of a parsed stamp -> its UTC offset in hours
     fromisoformat = datetime.fromisoformat
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(body, start=2):
         # fast path for a well-formed row; anything else is parsed again
         # by the strict per-field code, which raises the precise error
         stamp, _, price = line.partition(",")

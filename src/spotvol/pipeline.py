@@ -308,6 +308,13 @@ def _finite(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+# a failed-year record as analyze_trend writes it: input and message text, stage text or null
+def _error_record(record) -> bool:
+    return (isinstance(record, dict) and {"input", "stage", "message"} <= record.keys()
+            and isinstance(record["input"], str) and isinstance(record["message"], str)
+            and isinstance(record["stage"], (str, type(None))))
+
+
 def load_year_report(path) -> dict:
     """Read a year_<Y>.json written earlier; check each field the combined report uses."""
     report = reports.read_json(path, "year report", (
@@ -353,13 +360,16 @@ def assemble_report(config: RunConfig, report_dir) -> dict:
     if previous.exists():
         keys = ("errors",) if year_reports else ("errors", "config", "years")
         doc = reports.read_json(previous, "trend report", keys)
-        errors = doc["errors"]
-        if not isinstance(errors, list) or not all(
-                isinstance(e, dict) and {"input", "stage", "message"} <= e.keys() for e in errors):
-            raise InputError(f"{previous} is not a trend report (errors is not a list of records)")
-        listed = doc.get("year_files", {})
-        if not isinstance(listed, dict):
-            raise InputError(f"{previous} is not a trend report (year_files is not an object)")
+        errors, listed = doc["errors"], doc.get("year_files", {})
+        for ok, problem in (
+            (isinstance(errors, list) and all(map(_error_record, errors)),
+             "errors is not a list of records"),
+            (isinstance(listed, dict), "year_files is not an object"),
+            (isinstance(doc.get("config", {}), dict), "config is not an object"),
+            (isinstance(doc.get("years", []), list), "years is not a list"),
+        ):
+            if not ok:
+                raise InputError(f"{previous} is not a trend report ({problem})")
         names = [p.name for p in paths]
         for name in listed.values():
             if name not in names:

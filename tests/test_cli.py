@@ -374,6 +374,29 @@ def test_report_rebuilds_a_run_where_every_input_failed(tmp_path, capsys):
         assert (out / "trend.json").read_text(encoding="utf-8") == text
 
 
+@pytest.mark.parametrize("edit, problem", [
+    (lambda doc: doc.update(config=5), "config is not an object"),
+    (lambda doc: doc.update(years={}), "years is not a list"),
+    (lambda doc: doc["errors"][0].update(stage=[1]), "errors is not a list of records"),
+    (lambda doc: doc["errors"][0].update(input=5), "errors is not a list of records"),
+    (lambda doc: doc["errors"][0].update(message=None), "errors is not a list of records"),
+], ids=["config", "years", "stage", "input", "message"])
+def test_report_refuses_a_malformed_trend_report_of_a_run_where_every_input_failed(
+        tmp_path, capsys, edit, problem):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("timestamp,price\n2016-01-01T00:00Z,not_a_number\n", encoding="utf-8")
+    out = tmp_path / "t0"
+    assert main(["analyze-trend", str(bad), "--zone", "UTC", "--out", str(out)]) == 3
+    doc = json.loads((out / "trend.json").read_text(encoding="utf-8"))
+    edit(doc)
+    text = json.dumps(doc)
+    (out / "trend.json").write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    assert f"{out / 'trend.json'} is not a trend report ({problem})" in capsys.readouterr().err
+    assert (out / "trend.json").read_text(encoding="utf-8") == text
+
+
 def test_too_few_usable_years_write_the_same_report_shape(tmp_path, capsys):
     files = [
         str(make_year_csv(tmp_path, year, mu, seed))

@@ -15,6 +15,7 @@ from spotvol import (
     MalformedRow,
     WrongYearSpan,
 )
+from spotvol.ingest import _canonical_long
 from conftest import berlin_year_csv, rank2_spec
 
 WIDE_HEADER = "date," + ",".join(f"h{i}" for i in range(1, 25))
@@ -105,6 +106,45 @@ def test_long_rejects_duplicate_instant():
             "2016-10-30T02:00,2.0\n"
             "2016-10-30T02:00,3.0\n"
         )
+
+
+# Rows one step off the canonical shape that the numpy pass must leave to the
+# row parser, with the row parser's outcome: the prices in time order, or
+# the reason line 3 is rejected.
+NEAR_CANONICAL = [
+    pytest.param("2016-03-01T05:00:00,1.5\0", "bad price '1.5\\x00'", id="nul"),  # "S" drops it
+    pytest.param("2016-03-01T05:30:00,1.5", "is not on an hour boundary", id="minute-30"),
+    pytest.param("0000-03-01T05:00:00,1.5", "bad timestamp", id="year-0"),
+    pytest.param("2016-03-01T24:00:00,1.5", "bad timestamp", id="hour-24"),
+    pytest.param("2013-02-29T05:00:00,1.5", "bad timestamp", id="feb-29-common-year"),
+    pytest.param("2016-03-00T05:00:00,1.5", "bad timestamp", id="day-0"),
+    pytest.param("2016-00-01T05:00:00,1.5", "bad timestamp", id="month-0"),
+    pytest.param("2016-13-01T05:00:00,1.5", "bad timestamp", id="month-13"),
+    pytest.param("2016-03-01T05:00:00+24:00,1.5", "bad timestamp", id="offset-24"),
+    pytest.param("2016-03-01T05:00:00+01:30,1.5", "is not on an hour boundary", id="offset-90-min"),
+    pytest.param("2016-03-01T05:00:00Z,1.5", [1.0, 1.5, 2.0], id="z-suffix"),
+    pytest.param("2016-03-01T05:00:00,nan", "price 'nan' is not finite", id="nan"),
+    pytest.param("2016-03-01T05:00:00,inf", "price 'inf' is not finite", id="inf"),
+    pytest.param("2016-03-01T05:00:00,1e400", "price '1e400' is not finite", id="overflow"),
+    pytest.param("2016-03-01T05:00:00,1,2", "expected 2 fields, got 3", id="third-field"),
+    pytest.param("", [1.0, 2.0], id="blank-line"),
+    pytest.param("2016-03-01T05:00:00,\u0661.5", [1.0, 1.5, 2.0], id="arabic-indic-one"),
+    pytest.param("2016-03-01T05:00:00, 1.5", [1.0, 1.5, 2.0], id="padded-cell"),
+    pytest.param("2016-03-01T05:00:00,1.5" + "0" * 400, [1.0, 1.5, 2.0], id="longer-than-canonical"),
+]
+
+
+@pytest.mark.parametrize("row, outcome", NEAR_CANONICAL)
+def test_near_canonical_rows_take_the_row_parser(row, outcome):
+    body = ["2016-03-01T03:00:00,1.0", row, "2016-03-01T07:00:00,2.0"]
+    assert _canonical_long(body) is None
+    text = "\n".join(["timestamp,price", *body]) + "\n"
+    if isinstance(outcome, list):
+        assert parse(text, zone="UTC").values.tolist() == outcome
+    else:
+        with pytest.raises(MalformedRow) as info:
+            parse(text, zone="UTC")
+        assert info.value.line_number == 3 and outcome in info.value.reason
 
 
 def test_long_naive_stamp_in_spring_gap_names_its_line():

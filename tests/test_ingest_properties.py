@@ -1,5 +1,7 @@
-"""Property tests of ingest: CSV round trips and gap accounting."""
+"""Property tests of ingest: CSV round trips, the two long-format parsers
+and gap accounting."""
 
+import calendar
 import io
 from collections import Counter
 from datetime import date, datetime
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import spotvol as sv
 from spotvol import DstPolicy
+from spotvol.ingest import _canonical_long, _parse_rows
 from conftest import berlin_year_csv, rank2_spec
 
 POLICIES = [DstPolicy(s, f) for s in ("interpolate", "hold") for f in ("mean", "first", "last")]
@@ -112,3 +115,33 @@ def test_holes_within_gap_limit_are_all_filled(year, gap_limit, data):
         assert m["gap_hours_filled"] == len(dropped)
         assert m["n_imputed"] == len(dropped) + 1
         assert (m["n_dst_spring_filled"], m["n_dst_fall_collapsed"]) == (1, 1)
+
+
+# any hour of the years 1..9999, with leap days and a year's last hour drawn on purpose
+HOURS = st.one_of(
+    st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23)),
+    st.integers(1, 2499).map(lambda k: 4 * k).filter(calendar.isleap).map(
+        lambda year: datetime(year, 2, 29, 12)),
+    st.integers(1, 9999).map(lambda year: datetime(year, 12, 31, 23)),
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
+
+
+@st.composite
+def canonical_rows(draw):
+    t = draw(HOURS)
+    offset = draw(st.none() | st.tuples(st.sampled_from("+-"), st.integers(0, 23)))
+    zone = "" if offset is None else f"{offset[0]}{offset[1]:02d}:00"
+    price = draw(st.sampled_from(["{:.6f}", "{!r}"])).format(draw(FINITE))
+    return (f"{t.year:04d}-{t.month:02d}-{t.day:02d}{draw(st.sampled_from('T '))}"
+            f"{t.hour:02d}:00:00{zone},{price}")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(body=st.lists(canonical_rows(), min_size=1, max_size=40))
+def test_numpy_pass_equals_the_row_parser_on_canonical_rows(body):
+    fast, rows = _canonical_long(body), _parse_rows(body)
+    assert fast is not None
+    for a, b in zip(fast[:3], rows[:3]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert fast[3] == rows[3]

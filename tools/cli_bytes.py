@@ -50,6 +50,9 @@ COMMANDS = [
     ["analyze-trend", *TRENDS[:2], "malformed.csv", *UTC, "--jobs", "1", "--out", "trend_two"],
     ["ingest-check", "prices_2016.csv", *UTC],
     ["ingest-check", "berlin_2016.csv", "--zone", "Europe/Berlin"],
+    # long files that only the row parser takes: "Z" stamps, and a :30 stamp on line 5000
+    ["ingest-check", "zulu_2016.csv", *UTC],
+    ["ingest-check", "half_hour_2016.csv", *UTC],
     ["report", "trend_jobs1", "--out", "report_out"],
     # in place, on a copy of a run with a failed year (made just before)
     ["report", "report_in_place"],
@@ -79,6 +82,13 @@ def berlin_year_csv(year: int) -> str:
     return "\n".join(rows) + "\n"
 
 
+def utc_year_rows(year: int) -> list[str]:
+    """Naive UTC stamps for every hour of the year, in the canonical shape."""
+    start = datetime(year, 1, 1)
+    hours = (datetime(year + 1, 1, 1) - start) // timedelta(hours=1)
+    return [f"{(start + timedelta(hours=i)).isoformat()},{20.0 + i % 24}" for i in range(hours)]
+
+
 def write_inputs(work: Path) -> None:
     for year in YEARS:
         (work / f"spec_{year}.json").write_text(json.dumps(spec(year)), encoding="utf-8")
@@ -86,6 +96,11 @@ def write_inputs(work: Path) -> None:
         "timestamp,price\n2016-01-01T00:00Z,not_a_number\n", encoding="utf-8"
     )
     (work / "berlin_2016.csv").write_text(berlin_year_csv(2016), encoding="utf-8")
+    rows = utc_year_rows(2016)
+    zulu = [row.replace(",", "Z,") for row in rows]
+    rows[4998] = rows[4998].replace(":00:00,", ":30:00,")  # data row 4998 is line 5000
+    for name, body in (("zulu_2016.csv", zulu), ("half_hour_2016.csv", rows)):
+        (work / name).write_text("\n".join(["timestamp,price", *body]) + "\n", encoding="utf-8")
 
 
 def stream(text: str) -> str:
