@@ -273,31 +273,16 @@ def _parse_rows(body: list[str]):
     """_parse_long's result row by row, data lines numbered from 2; the one
     parser of odd but valid rows and of every row error."""
     fields, offsets, values, line_nos = [], [], [], []
-    offset_of = {}  # tzinfo of a parsed stamp -> its UTC offset in hours
-    fromisoformat = datetime.fromisoformat
     for line_no, line in enumerate(body, start=2):
-        # fast path for a well-formed row; anything else is parsed again
-        # by the strict per-field code, which raises the precise error
-        stamp, _, price = line.partition(",")
-        try:
-            ts = fromisoformat(stamp)
-            value = float(price)
-            offset = offset_of[ts.tzinfo]
-            if ts.minute or ts.second or ts.microsecond or not isfinite(value):
-                raise ValueError
-        except (ValueError, KeyError):
-            if not line.strip():
-                continue
-            cells = _split_csv_line(line)
-            if len(cells) != 2:
-                raise MalformedRow(line_no, f"expected 2 fields, got {len(cells)}")
-            ts = _parse_timestamp(cells[0], line_no)
-            value = _parse_price(cells[1], line_no)
-            naive = ts.tzinfo is None
-            offset = offset_of.setdefault(ts.tzinfo, _NAIVE if naive else ts.utcoffset() // _HOUR)
+        if not line.strip():
+            continue
+        cells = _split_csv_line(line)
+        if len(cells) != 2:
+            raise MalformedRow(line_no, f"expected 2 fields, got {len(cells)}")
+        ts = _parse_timestamp(cells[0], line_no)
         fields.append(ts.toordinal() * HOURS_PER_DAY + ts.hour)
-        offsets.append(offset)
-        values.append(value)
+        offsets.append(_NAIVE if ts.tzinfo is None else ts.utcoffset() // _HOUR)
+        values.append(_parse_price(cells[1], line_no))
         line_nos.append(line_no)
     fields = np.array(fields, dtype=np.int64) - EPOCH_ORDINAL * HOURS_PER_DAY
     return fields, np.array(offsets, dtype=np.int64), np.array(values, dtype=float), line_nos
@@ -325,14 +310,8 @@ def _parse_wide(lines: list[str]):
         if day in seen:
             raise DuplicateTimestamp(f"duplicate date row {day.isoformat()} at line {line_no}")
         seen.add(day)
-        try:  # fast path: 24 finite numbers
-            row = list(map(float, cells[1:]))
-            if not all(map(isfinite, row)):
-                raise ValueError
-        except ValueError:
-            row = [_parse_price(cell, line_no) if cell else np.nan for cell in cells[1:]]
         days.append(day.toordinal())
-        values.extend(row)
+        values.extend([_parse_price(cell, line_no) if cell else np.nan for cell in cells[1:]])
         line_nos.append(line_no)
     starts = (np.array(days, dtype=np.int64) - EPOCH_ORDINAL) * HOURS_PER_DAY
     fields = (starts[:, None] + np.arange(HOURS_PER_DAY)).ravel()

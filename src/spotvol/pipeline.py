@@ -316,16 +316,20 @@ def _error_record(record) -> bool:
 
 
 def load_year_report(path) -> dict:
-    """Read a year_<Y>.json written earlier; check each field the combined report uses."""
+    """Read a year_<Y>.json written earlier; check its year against its name
+    and each field the combined report uses."""
     report = reports.read_json(path, "year report", (
         "year", "config", "residuals.mu_hat", "residuals.tail_median",
         "spectrum.sigma", "spectrum.sigma_normalized",
     ))
     residuals, spectrum = report["residuals"], report["spectrum"]
-    year, mu, tail = report["year"], residuals["mu_hat"], residuals["tail_median"]
+    year, config = report["year"], report["config"]
+    mu, tail = residuals["mu_hat"], residuals["tail_median"]
     sigmas = spectrum["sigma"], spectrum["sigma_normalized"]
     for ok, problem in (
         (type(year) is int, f"year {year!r} is not an integer"),
+        (Path(path).name == f"year_{year}.json", f"year {year} differs from the file name"),
+        (isinstance(config, dict), f"config {config!r} is not an object"),
         (_finite(mu), f"residuals.mu_hat {mu!r} is not a finite number"),
         (tail is None or _finite(tail), f"residuals.tail_median {tail!r} is not a finite number"),
         (all(isinstance(s, list) and s and all(map(_finite, s)) for s in sigmas)

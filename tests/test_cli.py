@@ -719,6 +719,11 @@ _NOT_SIGMAS = "spectrum.sigma and spectrum.sigma_normalized are not equally long
             lambda doc: doc.update(year="2015"), "year '2015' is not an integer", id="string-year"
         ),
         pytest.param(
+            lambda doc: doc.update(year=2017), "year 2017 differs from the file name",
+            id="year-not-in-name",
+        ),
+        pytest.param(lambda doc: doc.update(config=5), "config 5 is not an object", id="int-config"),
+        pytest.param(
             _set("residuals", "mu_hat", [1]), "residuals.mu_hat [1] is not a finite number",
             id="list-mu_hat",
         ),

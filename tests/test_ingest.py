@@ -126,6 +126,8 @@ NEAR_CANONICAL = [
     pytest.param("2016-03-01T05:00:00,nan", "price 'nan' is not finite", id="nan"),
     pytest.param("2016-03-01T05:00:00,inf", "price 'inf' is not finite", id="inf"),
     pytest.param("2016-03-01T05:00:00,1e400", "price '1e400' is not finite", id="overflow"),
+    pytest.param("2016-03-01T05:00:00,1e", "bad price '1e'", id="exponent-without-digits"),
+    pytest.param("2016-03-01T05:00:00,1.2.3", "bad price '1.2.3'", id="two-points"),
     pytest.param("2016-03-01T05:00:00,1,2", "expected 2 fields, got 3", id="third-field"),
     pytest.param("", [1.0, 2.0], id="blank-line"),
     pytest.param("2016-03-01T05:00:00,\u0661.5", [1.0, 1.5, 2.0], id="arabic-indic-one"),
@@ -163,7 +165,7 @@ def test_utf8_byte_order_mark_accepted(tmp_path):
     text = "\ufefftimestamp,price\n2016-07-01T13:00Z,1.0\n"
     path = tmp_path / "bom.csv"
     path.write_bytes(text.encode("utf-8"))
-    for source in (path, text.encode("utf-8"), io.StringIO(text)):
+    for source in (path, text.encode("utf-8"), io.BytesIO(text.encode("utf-8")), io.StringIO(text)):
         series = sv.parse_price_csv(source)
         assert series.values.tolist() == [1.0]
     wide = "\ufeff" + WIDE_HEADER + "\n2016-07-01," + ",".join(["1.0"] * 24) + "\n"
@@ -226,6 +228,47 @@ def test_wide_duplicate_date_rejected():
 def test_wide_rejects_wrong_field_count():
     with pytest.raises(MalformedRow):
         parse(f"{WIDE_HEADER}\n2016-07-01,1.0,2.0\n", format="wide")
+
+
+def _wide_day(day, value):
+    return f"2016-07-0{day}," + ",".join([value] * 24)
+
+
+# Wide bodies of three days (all 1.0, 2.0 and 3.0) with one line replaced:
+# (line number, its text, the parsed prices in time order or the reason that
+# line is rejected).  Every cell is read by one rule: blank is NaN, anything
+# else a finite price.
+_DAY1, _DAY3 = [1.0] * 24, [3.0] * 24
+WIDE_ROWS = [
+    pytest.param(3, "", _DAY1 + _DAY3, id="blank-line"),
+    pytest.param(3, "2016-07-02," + ",2.0" * 23, _DAY1 + [np.nan] + [2.0] * 23 + _DAY3,
+                 id="blank-cell"),
+    pytest.param(3, "2016-07-02, 2.5 " + ",2.0" * 23, _DAY1 + [2.5] + [2.0] * 23 + _DAY3,
+                 id="padded-cell"),
+    pytest.param(1, WIDE_HEADER.upper(), _DAY1 + [2.0] * 24 + _DAY3, id="upper-header"),
+    pytest.param(3, "2016-07-02,nan" + ",2.0" * 23, "price 'nan' is not finite", id="nan-cell"),
+    pytest.param(3, "2016-07-02" + ",2.0" * 23 + ",inf", "price 'inf' is not finite", id="inf-cell"),
+    pytest.param(3, "2016-07-02,abc" + ",2.0" * 23, "bad price 'abc'", id="text-cell"),
+    pytest.param(3, "2016-02-30" + ",2.0" * 24, "bad date '2016-02-30'", id="bad-date"),
+    pytest.param(3, "2016-07-02" + ",2.0" * 23, "expected 25 fields, got 24", id="24-fields"),
+    pytest.param(1, WIDE_HEADER.removesuffix(",h24"), "expected header 'date,h1,...,h24'",
+                 id="header-without-h24"),
+]
+
+
+@pytest.mark.parametrize("line, text, outcome", WIDE_ROWS)
+def test_wide_rows_follow_one_cell_rule(line, text, outcome):
+    lines = [WIDE_HEADER, _wide_day(1, "1.0"), _wide_day(2, "2.0"), _wide_day(3, "3.0")]
+    lines[line - 1] = text
+    body = "\n".join(lines) + "\n"
+    if isinstance(outcome, list):
+        series = parse(body, format="wide", zone="UTC")
+        assert np.array_equal(series.values, outcome, equal_nan=True)
+        assert series.observed.tolist() == [not np.isnan(v) for v in outcome]
+    else:
+        with pytest.raises(MalformedRow) as info:
+            parse(body, format="wide", zone="UTC")
+        assert info.value.line_number == line and outcome in info.value.reason
 
 
 def test_calendarize_full_berlin_year():
@@ -295,11 +338,17 @@ def test_gap_longer_than_limit_rejected():
 
 def test_edge_gap_filled_with_nearest():
     lines = berlin_year_csv(2016).splitlines()
-    dropped = [ln for ln in lines if "2016-01-01T00" not in ln and "2016-01-01T01" not in ln]
+    gone = ("2016-01-01T00", "2016-01-01T01", "2016-12-31T22", "2016-12-31T23")
+    dropped = [ln for ln in lines if not ln.startswith(gone)]
     matrix = sv.calendarize(parse("\n".join(dropped) + "\n"))
     assert matrix.imputed[0, 0] and matrix.imputed[1, 0]
     assert matrix.values[0, 0] == matrix.values[2, 0]
     assert matrix.values[1, 0] == matrix.values[2, 0]
+    # the year's last hours hold its last observed value
+    assert matrix.imputed[22, -1] and matrix.imputed[23, -1]
+    assert matrix.values[22, -1] == matrix.values[21, -1]
+    assert matrix.values[23, -1] == matrix.values[21, -1]
+    assert matrix.manifest["gap_hours_filled"] == 4
 
 
 def test_flatten_round_trip():
@@ -313,6 +362,11 @@ def test_unknown_zone_of_a_built_series_is_an_input_error():
     series = sv.PriceSeries([0], [1.0], [True], zone="Mars/Olympus")
     with pytest.raises(sv.InputError, match="unknown time zone 'Mars/Olympus'"):
         sv.calendarize(series)
+
+
+def test_zone_off_the_whole_hour_is_an_input_error():
+    with pytest.raises(sv.InputError, match=r"^zone Asia/Kolkata is 5:30:00 from UTC at .*Z$"):
+        parse("timestamp,price\n2016-07-01T13:00Z,1.0\n", zone="Asia/Kolkata")
 
 
 def test_wrong_year_span():

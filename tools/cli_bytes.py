@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -37,6 +39,7 @@ STREAM_LIMIT = 4096
 YEARS = {2013: (5.0, 4), 2014: (4.0, 1), 2015: (3.0, 2), 2016: (2.0, 3), 2017: (2.5, 5)}
 TRENDS = [f"prices_{year}.csv" for year in (2013, 2014, 2015, 2016)]
 UTC = ["--zone", "UTC"]
+WIDE = ["--format", "wide", "--zone", "Europe/Berlin"]
 
 COMMANDS = [
     *(["synth", f"spec_{year}.json", "--out", f"prices_{year}.csv"] for year in range(2013, 2017)),
@@ -53,6 +56,9 @@ COMMANDS = [
     # long files that only the row parser takes: "Z" stamps, and a :30 stamp on line 5000
     ["ingest-check", "zulu_2016.csv", *UTC],
     ["ingest-check", "half_hour_2016.csv", *UTC],
+    # the wide parser: blank cells, a padded cell and a blank line
+    ["ingest-check", "berlin_wide_2016.csv", *WIDE],
+    ["analyze-year", "berlin_wide_2016.csv", *WIDE, "--permutations", "200", "--out", "year_wide"],
     ["report", "trend_jobs1", "--out", "report_out"],
     # in place, on a copy of a run with a failed year (made just before)
     ["report", "report_in_place"],
@@ -82,6 +88,32 @@ def berlin_year_csv(year: int) -> str:
     return "\n".join(rows) + "\n"
 
 
+def berlin_wide_csv(year: int) -> str:
+    """Berlin wall-clock days as date,h1..h24 rows of seeded noisy prices.
+    The spring-forward cell is blank as the layout requires; so are hours
+    5 and 6 of 15 June.  Hour 12 of 1 March is padded with spaces, and a
+    blank line follows 1 July."""
+    berlin, rng = ZoneInfo("Europe/Berlin"), random.Random(year)
+    rows = ["date," + ",".join(f"h{h}" for h in range(1, 25))]
+    day = datetime(year, 1, 1)
+    while day.year == year:
+        cells = []
+        for h in range(24):
+            wall = day.replace(hour=h)
+            real = wall.replace(tzinfo=berlin).astimezone(timezone.utc).astimezone(berlin)
+            price = 30.0 + 10.0 * math.sin(math.pi * h / 12) + rng.expovariate(0.2)
+            cells.append(f"{price:.2f}" if real.replace(tzinfo=None) == wall else "")
+        if (day.month, day.day) == (6, 15):
+            cells[5] = cells[6] = ""
+        if (day.month, day.day) == (3, 1):
+            cells[12] = f"  {cells[12]} "
+        rows.append(day.date().isoformat() + "," + ",".join(cells))
+        if (day.month, day.day) == (7, 1):
+            rows.append("")
+        day += timedelta(days=1)
+    return "\n".join(rows) + "\n"
+
+
 def utc_year_rows(year: int) -> list[str]:
     """Naive UTC stamps for every hour of the year, in the canonical shape."""
     start = datetime(year, 1, 1)
@@ -96,6 +128,7 @@ def write_inputs(work: Path) -> None:
         "timestamp,price\n2016-01-01T00:00Z,not_a_number\n", encoding="utf-8"
     )
     (work / "berlin_2016.csv").write_text(berlin_year_csv(2016), encoding="utf-8")
+    (work / "berlin_wide_2016.csv").write_text(berlin_wide_csv(2016), encoding="utf-8")
     rows = utc_year_rows(2016)
     zulu = [row.replace(",", "Z,") for row in rows]
     rows[4998] = rows[4998].replace(":00:00,", ":30:00,")  # data row 4998 is line 5000
