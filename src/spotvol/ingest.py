@@ -95,7 +95,8 @@ class PriceSeries:
     are EUR/MWh and may be zero or negative.  Entries not ``observed``
     hold NaN and only mark a known-absent slot (wide-format empty cells).
     ``zone`` is the market time zone whose wall-clock days calendarize
-    lays out.
+    lays out; ``zone_offsets`` keeps the last table of its UTC offsets
+    that was built for the series (see offsets_table).
     """
 
     utc_hours: np.ndarray
@@ -104,6 +105,7 @@ class PriceSeries:
     market_label: str = ""
     year: int | None = None
     zone: str = DEFAULT_ZONE
+    zone_offsets: ZoneOffsets | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.utc_hours = np.asarray(self.utc_hours, dtype=np.int64)
@@ -117,7 +119,17 @@ class PriceSeries:
 
     def utc_offsets(self) -> np.ndarray:
         """The market zone's UTC offset in hours at each entry."""
-        return ZoneOffsets(self.zone, self.utc_hours).at(self.utc_hours)
+        return self.offsets_table(self.utc_hours).at(self.utc_hours)
+
+    def offsets_table(self, hours: np.ndarray, margin: int = 0) -> ZoneOffsets:
+        """A table of the zone's offsets, exact from ``margin`` days before
+        the first of ``hours`` to ``margin`` (at most 2) days after the
+        last: the kept one if it is, else a new one built over ``hours``,
+        which is kept from then on."""
+        table = self.zone_offsets
+        if table is None or table.zone != self.zone or not table.covers(hours, margin):
+            table = self.zone_offsets = ZoneOffsets(self.zone, hours)
+        return table
 
 
 @dataclass
@@ -377,9 +389,10 @@ def parse_price_csv(
         stamp = iso_hour(fields[b], fields[b] - utc[b])
         raise DuplicateTimestamp(f"duplicate timestamp {stamp} at lines {first} and {second}")
 
-    wall_years = np.unique(years_of(utc + offsets_in_zone.at(utc)))
-    year = int(wall_years[0]) if wall_years.size == 1 else None
-    return PriceSeries(utc, values, observed, market_label, year, zone)
+    local = utc + offsets_in_zone.at(utc)
+    first, last = years_of(np.array([local.min(), local.max()])).tolist()
+    year = first if first == last else None
+    return PriceSeries(utc, values, observed, market_label, year, zone, offsets_in_zone)
 
 
 # --- calendarization --------------------------------------------------------
@@ -402,12 +415,11 @@ def calendarize(
         raise WrongYearSpan("series holds no observed values")
     utc = series.utc_hours[series.observed]
     observed_values = series.values[series.observed]
-    walls = utc + ZoneOffsets(series.zone, utc).at(utc)
+    walls = utc + series.offsets_table(utc).at(utc)
 
-    years = np.unique(years_of(walls)).tolist()
-    if len(years) > 1:
-        raise WrongYearSpan(f"series spans several years: {years}")
-    year = years[0]
+    year, last = years_of(np.array([walls.min(), walls.max()])).tolist()
+    if year != last:
+        raise WrongYearSpan(f"series spans several years: {np.unique(years_of(walls)).tolist()}")
     if series.year is not None and series.year != year:
         raise WrongYearSpan(f"series labeled {series.year} but data lie in {year}")
     if not 1 <= year <= 9999:  # the years a datetime.date can hold
@@ -418,7 +430,8 @@ def calendarize(
     n = HOURS_PER_DAY * n_days
     start = epoch_hour(jan1)
     grid = start + np.arange(n)
-    fold0, fold1, skipped = ZoneOffsets(series.zone, grid).resolve(grid)
+    # resolve brackets each wall hour by 26 hours, so it reads two days either side
+    fold0, fold1, skipped = series.offsets_table(grid, margin=2).resolve(grid)
 
     # observations by temporal slot d * 24 + h, in series order per slot
     slots = walls - start

@@ -19,6 +19,7 @@ HOURS_PER_DAY = 24
 EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # probed days, 0001-01-02 to 9999-12-30, keep any UTC offset inside datetime's range
 _DAY_RANGE = (2 - EPOCH_ORDINAL, date.max.toordinal() - 1 - EPOCH_ORDINAL)
+_SECOND = timedelta(seconds=1)
 
 
 def zone_info(zone: str) -> ZoneInfo:
@@ -54,37 +55,60 @@ def years_of(hours: np.ndarray) -> np.ndarray:
     return hours.astype("datetime64[h]").astype("datetime64[Y]").astype(np.int64) + 1970
 
 
+def _offsets_at(tz: ZoneInfo, hours: np.ndarray) -> np.ndarray:
+    """The zone's UTC offsets in hours at the given instants; InputError
+    where one is not a whole number of hours."""
+    seconds = np.array(
+        [datetime.fromtimestamp(h * 3600, tz).utcoffset() // _SECOND for h in hours.tolist()],
+        dtype=np.int64,
+    )
+    uneven = np.flatnonzero(seconds % 3600)
+    if uneven.size:
+        i = uneven[0]
+        offset = ("-" if seconds[i] < 0 else "") + str(timedelta(seconds=abs(int(seconds[i]))))
+        raise InputError(f"zone {tz.key} is {offset} from UTC at {iso_hour(hours[i])}Z")
+    return seconds // 3600
+
+
 class ZoneOffsets:
     """Whole-hour UTC offsets of a zone near the days some epoch hours touch.
 
     The offset is probed at each UTC day start from two days before to two
     days after every such day, and hourly on days where it changes, so
     lookups are exact there: for instants and for the wall times of
-    ``hours``.
+    ``hours``.  ``covers`` tells whether they are exact on other days.
     """
 
     def __init__(self, zone: str, hours: np.ndarray):
-        tz = zone_info(zone)
+        self.zone = zone
         days = np.unique(np.asarray(hours, dtype=np.int64) // HOURS_PER_DAY)
-        days = np.unique(np.clip(days[:, None] + np.arange(-2, 4), *_DAY_RANGE))
-        offsets = self._probe(tz, days * HOURS_PER_DAY)
+        self._days = np.unique(np.clip(days[:, None] + np.arange(-2, 4), *_DAY_RANGE))
+        self._starts, self._offsets = self._probe(zone_info(zone), self._days)
+
+    @staticmethod
+    def _probe(tz: ZoneInfo, days: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The hours where the offset changes and the offsets from there
+        on, probed at each day start and hourly through each day that ends
+        at another offset than it starts."""
+        offsets = _offsets_at(tz, days * HOURS_PER_DAY)
         changed = days[:-1][(np.diff(days) == 1) & (offsets[1:] != offsets[:-1])]
         hourly = (changed[:, None] * HOURS_PER_DAY + np.arange(1, HOURS_PER_DAY)).ravel()
         starts = np.concatenate([days * HOURS_PER_DAY, hourly])
-        offsets = np.concatenate([offsets, self._probe(tz, hourly)])
+        offsets = np.concatenate([offsets, _offsets_at(tz, hourly)])
         order = np.argsort(starts)
         keep = changes(offsets[order])
-        self._starts, self._offsets = starts[order][keep], offsets[order][keep]
+        return starts[order][keep], offsets[order][keep]
 
-    @staticmethod
-    def _probe(tz: ZoneInfo, hours: np.ndarray) -> np.ndarray:
-        offsets = [datetime.fromtimestamp(h * 3600, tz).utcoffset() for h in hours.tolist()]
-        seconds = np.array(offsets, dtype="timedelta64[s]").astype(np.int64)
-        uneven = np.flatnonzero(seconds % 3600)
-        if uneven.size:
-            i = uneven[0]
-            raise InputError(f"zone {tz.key} is {offsets[i]} from UTC at {iso_hour(hours[i])}Z")
-        return seconds // 3600
+    def covers(self, hours: np.ndarray, margin: int = 0) -> bool:
+        """Whether lookups are exact on every day from ``margin`` days before
+        the first of ``hours`` to ``margin`` days after the last: each of
+        those days and the one after it was probed."""
+        if not hours.size:
+            return True
+        lo = int(hours.min()) // HOURS_PER_DAY - margin
+        hi = int(hours.max()) // HOURS_PER_DAY + margin + 1
+        found = np.searchsorted(self._days, hi, side="right") - np.searchsorted(self._days, lo)
+        return int(found) == hi - lo + 1
 
     def at(self, utc: np.ndarray) -> np.ndarray:
         """UTC offsets in hours at the given instants."""

@@ -1,7 +1,8 @@
 """Parsing and calendarization: formats, DST handling, gaps, manifests."""
 
 import io
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from spotvol import (
     WrongYearSpan,
 )
 from spotvol.ingest import _canonical_long
+from spotvol.zones import ZoneOffsets
 from conftest import berlin_year_csv, rank2_spec
 
 WIDE_HEADER = "date," + ",".join(f"h{i}" for i in range(1, 25))
@@ -369,6 +371,11 @@ def test_zone_off_the_whole_hour_is_an_input_error():
         parse("timestamp,price\n2016-07-01T13:00Z,1.0\n", zone="Asia/Kolkata")
 
 
+def test_zone_off_the_whole_hour_west_of_utc_prints_a_signed_offset():
+    with pytest.raises(sv.InputError, match=r"^zone America/St_Johns is -2:30:00 from UTC at .*Z$"):
+        parse("timestamp,price\n2016-07-01T13:00Z,1.0\n", zone="America/St_Johns")
+
+
 def test_wrong_year_span():
     text = (
         "timestamp,price\n"
@@ -377,6 +384,64 @@ def test_wrong_year_span():
     )
     with pytest.raises(WrongYearSpan):
         sv.calendarize(parse(text, zone="UTC"))
+
+
+def test_series_over_several_years_is_unlabeled_and_names_every_year():
+    rows = ["timestamp,price", "2015-06-01T00:00Z,1.0", "2016-06-01T00:00Z,2.0", "2017-06-01T00:00Z,3.0"]
+    assert parse("\n".join(rows[:3]), zone="UTC").year is None
+    series = parse("\n".join(rows), zone="UTC")
+    assert series.year is None
+    with pytest.raises(WrongYearSpan) as info:
+        sv.calendarize(series)
+    assert str(info.value) == "series spans several years: [2015, 2016, 2017]"
+
+
+# zone, year, wall hours the zone skips that year
+ZONE_YEARS = [
+    ("Europe/Berlin", 2016, 1),
+    ("America/New_York", 2015, 1),
+    ("Australia/Sydney", 2013, 1),  # daylight saving time across New Year
+    ("America/Sao_Paulo", 2017, 1),  # transitions at midnight
+    ("Africa/Casablanca", 2019, 1),  # an hour back for Ramadan
+    ("Pacific/Apia", 2011, 25),  # 30 December skipped whole, and a spring-forward hour
+]
+
+
+@pytest.mark.parametrize("zone, year, n_skipped", ZONE_YEARS)
+def test_zone_table_agrees_with_zoneinfo(zone, year, n_skipped):
+    tz, hour = ZoneInfo(zone), timedelta(hours=1)
+    hours = np.arange(epoch_hours(f"{year}-01-01T00"), epoch_hours(f"{year + 1}-01-01T00"))
+    table = ZoneOffsets(zone, hours)
+    offsets = [datetime.fromtimestamp(h * 3600, tz).utcoffset() // hour for h in hours.tolist()]
+    assert table.at(hours).tolist() == offsets
+
+    # the same numbers read as wall times, against PEP 495 folds and a round trip
+    walls = [datetime(1970, 1, 1) + h * hour for h in hours.tolist()]
+    fold0, fold1, skipped = table.resolve(hours)
+    for fold, instants in ((0, fold0), (1, fold1)):
+        expected = [int(w.replace(tzinfo=tz, fold=fold).timestamp()) // 3600 for w in walls]
+        assert instants.tolist() == expected
+    round_trip = [w.replace(tzinfo=tz).astimezone(timezone.utc).astimezone(tz) for w in walls]
+    assert skipped.tolist() == [r.replace(tzinfo=None) != w for r, w in zip(round_trip, walls)]
+    assert skipped.sum() == n_skipped
+
+
+def test_a_parsed_year_probes_its_zone_once(monkeypatch):
+    probe, probed = ZoneOffsets._probe, []
+
+    def counted(tz, days):
+        probed.append(tz.key)
+        return probe(tz, days)
+
+    monkeypatch.setattr(ZoneOffsets, "_probe", staticmethod(counted))
+    series = parse(berlin_year_csv(2016))
+    sv.calendarize(series)
+    series.utc_offsets()
+    assert probed == ["Europe/Berlin"]
+    series.zone = "UTC"  # a table of another zone is never reused
+    with pytest.raises(WrongYearSpan, match=r"\[2015, 2016\]"):
+        sv.calendarize(series)
+    assert probed == ["Europe/Berlin", "UTC"]
 
 
 def utc_year_series(extra=(), **kwargs):

@@ -3,18 +3,20 @@ and gap accounting."""
 
 import calendar
 import io
+import re
 from collections import Counter
 from datetime import date, datetime
 from functools import lru_cache
 from zoneinfo import ZoneInfo
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spotvol as sv
 from spotvol import DstPolicy
 from spotvol.ingest import _canonical_long, _parse_rows
+from spotvol.zones import ZoneOffsets
 from conftest import berlin_year_csv, rank2_spec
 
 POLICIES = [DstPolicy(s, f) for s in ("interpolate", "hold") for f in ("mean", "first", "last")]
@@ -77,6 +79,66 @@ def test_zoned_long_csv_round_trip_matches_direct_calendarize(zone, year, seed):
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.imputed, b.imputed)
         assert a.manifest == b.manifest
+
+
+def outcome(series, gap_limit):
+    """calendarize's matrix and manifest, or the type and text of its error."""
+    try:
+        m = sv.calendarize(series, gap_limit=gap_limit)
+    except sv.SpotvolError as exc:
+        return type(exc).__name__, str(exc)
+    return m.values.tobytes(), m.imputed.tobytes(), m.manifest
+
+
+TABLE_ZONES = ["Europe/Berlin", "America/New_York", "Australia/Sydney", "America/Sao_Paulo",
+               "Pacific/Apia", "UTC"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    zone_year=st.tuples(st.sampled_from(TABLE_ZONES), st.integers(1990, 2030))
+    | st.tuples(st.just("UTC"), st.sampled_from([1, 9999])),
+    seed=st.integers(0, 2**32 - 1),
+    empty_days=st.tuples(st.just(0) | st.integers(1, 150), st.just(0) | st.integers(1, 150)),
+    hour_share=st.sampled_from([1.0, 0.9, 0.05]),
+    day_share=st.sampled_from([1.0, 0.1]),
+    naive=st.booleans(),
+    rezone=st.none() | st.sampled_from(TABLE_ZONES),
+)
+# Hovd springs forward at its New Year's midnight, so calendarizing 1978
+# reads offsets from the two days before the year, which a file whose first
+# two days are empty does not touch
+@example(zone_year=("Asia/Hovd", 1978), seed=0, empty_days=(2, 0), hour_share=1.0,
+         day_share=1.0, naive=False, rezone=None)
+def test_zone_table_kept_from_parsing_gives_the_result_of_a_new_one(
+    zone_year, seed, empty_days, hour_share, day_share, naive, rezone
+):
+    zone, year = zone_year
+    tz = ZoneInfo(zone)
+    start = int(datetime(year, 1, 1, tzinfo=tz).timestamp()) // 3600
+    if year < 9999:
+        end = int(datetime(year + 1, 1, 1, tzinfo=tz).timestamp()) // 3600
+    else:  # UTC only: no datetime holds the year 10000
+        end = start + 24 * 365
+    hours = np.arange(start + 24 * empty_days[0], end - 24 * empty_days[1])
+    rng = np.random.default_rng(seed)
+    days_kept = rng.random(hours.size // 24 + 1) < day_share  # runs of empty days between
+    hours = hours[(rng.random(hours.size) < hour_share) & days_kept[(hours - hours[0]) // 24]]
+    assume(hours.size)
+    values = as_written(rng.normal(40.0, 15.0, hours.size))
+    text = sv.series_to_long_csv(sv.PriceSeries(hours, values, np.ones(hours.size, bool), zone=zone))
+    if naive:
+        text = re.sub(r"[+-]\d\d:00,", ",", text)
+    parsed = sv.parse_price_csv(io.StringIO(text), zone=zone)
+    if rezone and 1 < year < 9999:  # most zones were off the whole hour in year 1
+        parsed.zone = rezone
+    result = outcome(parsed, 100_000)
+    # against a series that builds its own tables, and one handed a table
+    # probed on every day from four days before the year to four after it
+    for table in (None, ZoneOffsets(parsed.zone, np.arange(start - 72, end + 72))):
+        rebuilt = sv.PriceSeries(parsed.utc_hours.copy(), parsed.values.copy(), parsed.observed.copy(),
+                                 parsed.market_label, parsed.year, parsed.zone, table)
+        assert result == outcome(rebuilt, 100_000)
 
 
 @lru_cache(maxsize=None)

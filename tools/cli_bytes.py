@@ -53,6 +53,10 @@ COMMANDS = [
     ["analyze-trend", *TRENDS[:2], "malformed.csv", *UTC, "--jobs", "1", "--out", "trend_two"],
     ["ingest-check", "prices_2016.csv", *UTC],
     ["ingest-check", "berlin_2016.csv", "--zone", "Europe/Berlin"],
+    # zone tables: a sparse year (not covered by the table parsing built), and
+    # a New York year stamped in UTC (covered although no stamp is a wall time)
+    ["ingest-check", "berlin_sparse_2016.csv", "--zone", "Europe/Berlin", "--gap-limit", "100000"],
+    ["ingest-check", "new_york_utc_2016.csv", "--zone", "America/New_York"],
     # long files that only the row parser takes: "Z" stamps, and a :30 stamp on line 5000
     ["ingest-check", "zulu_2016.csv", *UTC],
     ["ingest-check", "half_hour_2016.csv", *UTC],
@@ -114,6 +118,22 @@ def berlin_wide_csv(year: int) -> str:
     return "\n".join(rows) + "\n"
 
 
+def sparse_rows(text: str) -> list[str]:
+    """The data rows of a long file that fall on days 5, 15, 25, ... of
+    the year: no row in its first four days or its last day."""
+    return [row for row in text.splitlines()[1:]
+            if datetime.fromisoformat(row[:10]).timetuple().tm_yday % 10 == 5]
+
+
+def utc_stamped_rows(year: int, zone: str) -> list[str]:
+    """Every hour of the zone's wall-clock year, stamped in UTC with "+00:00"."""
+    tz = ZoneInfo(zone)
+    start = datetime(year, 1, 1, tzinfo=tz).astimezone(timezone.utc)
+    end = datetime(year + 1, 1, 1, tzinfo=tz).astimezone(timezone.utc)
+    hours = (end - start) // timedelta(hours=1)
+    return [f"{(start + timedelta(hours=i)).isoformat()},{30.0 + i % 7}" for i in range(hours)]
+
+
 def utc_year_rows(year: int) -> list[str]:
     """Naive UTC stamps for every hour of the year, in the canonical shape."""
     start = datetime(year, 1, 1)
@@ -132,7 +152,10 @@ def write_inputs(work: Path) -> None:
     rows = utc_year_rows(2016)
     zulu = [row.replace(",", "Z,") for row in rows]
     rows[4998] = rows[4998].replace(":00:00,", ":30:00,")  # data row 4998 is line 5000
-    for name, body in (("zulu_2016.csv", zulu), ("half_hour_2016.csv", rows)):
+    sparse = sparse_rows(berlin_year_csv(2016))
+    new_york = utc_stamped_rows(2016, "America/New_York")
+    for name, body in (("zulu_2016.csv", zulu), ("half_hour_2016.csv", rows),
+                       ("berlin_sparse_2016.csv", sparse), ("new_york_utc_2016.csv", new_york)):
         (work / name).write_text("\n".join(["timestamp,price", *body]) + "\n", encoding="utf-8")
 
 
