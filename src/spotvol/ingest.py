@@ -200,13 +200,16 @@ def _split_csv_line(line: str) -> list[str]:
     return [cell.strip() for cell in line.split(",")]
 
 
+def _is_long_header(line: str) -> bool:
+    return [h.lower() for h in _split_csv_line(line)] == ["timestamp", "price"]
+
+
 def _parse_long(lines: list[str]):
     """Stamp hours as written, their UTC offsets (_NAIVE for wall time),
     prices and line numbers of the data rows, in file order."""
-    header = [h.lower() for h in _split_csv_line(lines[0])]
-    if header != ["timestamp", "price"]:
+    if not _is_long_header(lines[0]):
         raise MalformedRow(1, f"expected header 'timestamp,price', got {lines[0]!r}")
-    return _canonical_long(lines[1:]) or _parse_rows(lines[1:])
+    return _parse_rows(lines[1:])
 
 
 # A canonical row up to its price, naive and with an offset, in its two
@@ -231,28 +234,40 @@ def _digits(m: np.ndarray, start: int, stop: int) -> np.ndarray:
     return number
 
 
-def _canonical_long(body: list[str]):
-    """_parse_rows' result in one numpy pass, or None unless every row is
+def _canonical_long(text: str):
+    """_parse_long's result on ``text.splitlines()`` in one numpy pass over
+    the bytes, or None unless the header is one line and every data row is
     ``YYYY-MM-DD{T| }HH:00:00[±HH:00],<price>`` naming a real hour and a
-    finite price.  Never raises: every other body goes to _parse_rows."""
-    lengths = list(map(len, body))
-    if not body or max(lengths) > _LONGEST_ROW:
+    finite price.  Never raises: every other text goes to _parse_long."""
+    if not text.isascii() or "\0" in text:
         return None
-    try:
-        m = np.array(body, dtype="S")
-    except UnicodeEncodeError:
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # rows end at a line feed, or at the end of the text, after any carriage return
+    feeds = np.flatnonzero(data == ord("\n"))
+    stops = feeds if text.endswith("\n") else np.append(feeds, data.size)
+    if stops.size < 2:  # no data row
         return None
-    m = m.view(np.uint8).reshape(len(body), -1)
-    # "S" drops a trailing NUL, so count them all; a naive row needs 21 bytes
-    if np.count_nonzero(m) != sum(lengths) or m.shape[1] <= 20:
+    header = text[:stops[0]].removesuffix("\r")
+    if header.splitlines() != [header] or not _is_long_header(header):
         return None
+    starts, stops = feeds[:stops.size - 1] + 1, stops[1:]
+    stops = stops - (data[stops - 1] == ord("\r"))
+    lengths = stops - starts
+    # a naive row needs 21 bytes
+    if lengths.min() <= 20 or lengths.max() > _LONGEST_ROW:
+        return None
+    longest = int(lengths.max())
+    padded = np.append(data, np.zeros(longest, dtype=np.uint8))
+    m = np.lib.stride_tricks.sliding_window_view(padded, longest)[starts]
+    m[np.arange(longest) >= lengths[:, None]] = 0
     aware = m[:, 19] != ord(",")
-    values = np.empty(len(body))
-    offsets = np.full(len(body), _NAIVE, dtype=np.int64)
-    for rows, (row, alt) in zip((~aware, aware), _STAMPS):
-        part = m[rows]
-        if not len(part):
-            continue
+    forms = [(~aware, False), (aware, True)]
+    if aware.all() or not aware.any():  # one stamp form: read m in place
+        forms = [(slice(None), bool(aware[0]))]
+    values = np.empty(len(m))
+    offsets = np.full(len(m), _NAIVE, dtype=np.int64)
+    for rows, with_offset in forms:
+        (row, alt), part = _STAMPS[with_offset], m[rows]
         width, digit = row.size, row == ord("#")
         stamp = part[:, :width]
         if part.shape[1] <= width or not (
@@ -265,7 +280,7 @@ def _canonical_long(body: list[str]):
             values[rows] = prices.astype(float)
         except ValueError:  # not a number, such as "1e" or "1.2.3"
             return None
-        if rows is aware:
+        if with_offset:
             hours = _digits(part, 20, 22)
             if (hours > 23).any():
                 return None
@@ -278,7 +293,7 @@ def _canonical_long(body: list[str]):
     if not ((year > 0) & (month >= 1) & (month <= 12) & (days.astype("datetime64[M]") == months)
             & (hour <= 23)).all():
         return None
-    return days.astype(np.int64) * HOURS_PER_DAY + hour, offsets, values, list(range(2, len(body) + 2))
+    return days.astype(np.int64) * HOURS_PER_DAY + hour, offsets, values, list(range(2, len(m) + 2))
 
 
 def _parse_rows(body: list[str]):
@@ -349,12 +364,14 @@ def parse_price_csv(
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
     zone_info(zone)  # an unknown zone fails before the source is read
-    lines = _read_text(source).splitlines()
-    if not lines or not lines[0].strip():
-        raise EmptyInput("no header row")
-
-    parse = _parse_long if format == "long" else _parse_wide
-    fields, offsets, values, line_nos = parse(lines)
+    text = _read_text(source)
+    parsed = _canonical_long(text) if format == "long" else None
+    if parsed is None:
+        lines = text.splitlines()
+        if not lines or not lines[0].strip():
+            raise EmptyInput("no header row")
+        parsed = (_parse_long if format == "long" else _parse_wide)(lines)
+    fields, offsets, values, line_nos = parsed
     observed = ~np.isnan(values)
     offsets_in_zone = ZoneOffsets(zone, fields)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
-from . import lowrank, reports, residual_stats, seasonality, trend
+from . import lowrank, reports, residual_stats, seasonality, trend, zones
 from .errors import DegenerateDesign, InputError, SpotvolError
 from .ingest import (
     DEFAULT_GAP_LIMIT,
@@ -40,7 +40,7 @@ class RunConfig:
     1000 permutations, seed 0.  The configuration is echoed into every
     report so a run can be reproduced from its outputs alone.  Building
     one raises InputError naming an invalid field, a value of the wrong
-    type before one out of range.
+    type before one out of range, or an unknown zone.
     """
 
     rank: int = 2
@@ -80,6 +80,7 @@ class RunConfig:
         for name, (ok, rule) in rules.items():
             if not ok:
                 raise InputError(f"{name} must {rule}, got {getattr(self, name)!r}")
+        zones.zone_info(self.zone)  # an unknown zone fails before any input is read
 
     def echo(self) -> dict:
         return {

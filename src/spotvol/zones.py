@@ -81,8 +81,9 @@ class ZoneOffsets:
 
     def __init__(self, zone: str, hours: np.ndarray):
         self.zone = zone
-        days = np.unique(np.asarray(hours, dtype=np.int64) // HOURS_PER_DAY)
-        self._days = np.unique(np.clip(days[:, None] + np.arange(-2, 4), *_DAY_RANGE))
+        days = np.sort(np.asarray(hours, dtype=np.int64) // HOURS_PER_DAY)
+        near = np.sort(np.clip(days[changes(days), None] + np.arange(-2, 4), *_DAY_RANGE), axis=None)
+        self._days = near[changes(near)]
         self._starts, self._offsets = self._probe(zone_info(zone), self._days)
 
     @staticmethod

@@ -270,8 +270,26 @@ def test_gap_limit_and_dst_policy_flags(tmp_path, capsys):
 def test_unknown_zone_is_an_input_error(tmp_path, capsys):
     csv_path = make_year_csv(tmp_path)
     capsys.readouterr()
-    assert main(["ingest-check", str(csv_path), "--zone", "Mars/Olympus"]) == 2
-    assert capsys.readouterr().err == "error [ingest]: unknown time zone 'Mars/Olympus'\n"
+    with pytest.raises(SystemExit) as info:
+        main(["ingest-check", str(csv_path), "--zone", "Mars/Olympus"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("spotvol ingest-check: error: unknown time zone 'Mars/Olympus'\n")
+
+
+def test_unknown_zone_fails_analyze_trend_before_any_work(tmp_path, capsys):
+    files = [
+        str(make_year_csv(tmp_path, year, mu, seed))
+        for year, mu, seed in ((2014, 4.0, 1), (2015, 3.0, 2), (2016, 2.0, 3))
+    ]
+    out = tmp_path / "trend"
+    with pytest.raises(SystemExit) as info:
+        main(["analyze-trend", *files, "--zone", "Nowhere/Zone", "--out", str(out)])
+    assert info.value.code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spotvol analyze-trend ")
+    assert err.endswith("spotvol analyze-trend: error: unknown time zone 'Nowhere/Zone'\n")
 
 
 def test_too_few_permutations_rejected_before_any_work(tmp_path, capsys):
@@ -551,6 +569,7 @@ _INVALID_CONFIG = [
 _INVALID_NAMES = [
     ("estimator", "mle", "estimator must be one of ('trimmed', 'censored'), got 'mle'"),
     ("input_format", "csv", "input_format must be one of ('long', 'wide'), got 'csv'"),
+    ("zone", "Mars/Olympus", "unknown time zone 'Mars/Olympus'"),
 ]
 # values of the wrong type, which the CLI's int and float parsers cannot produce
 _INVALID_TYPES = [

@@ -16,7 +16,7 @@ from spotvol import (
     MalformedRow,
     WrongYearSpan,
 )
-from spotvol.ingest import _canonical_long
+from spotvol.ingest import _canonical_long, _parse_long
 from spotvol.zones import ZoneOffsets
 from conftest import berlin_year_csv, rank2_spec
 
@@ -114,7 +114,7 @@ def test_long_rejects_duplicate_instant():
 # row parser, with the row parser's outcome: the prices in time order, or
 # the reason line 3 is rejected.
 NEAR_CANONICAL = [
-    pytest.param("2016-03-01T05:00:00,1.5\0", "bad price '1.5\\x00'", id="nul"),  # "S" drops it
+    pytest.param("2016-03-01T05:00:00,1.5\0", "bad price '1.5\\x00'", id="nul"),
     pytest.param("2016-03-01T05:30:00,1.5", "is not on an hour boundary", id="minute-30"),
     pytest.param("0000-03-01T05:00:00,1.5", "bad timestamp", id="year-0"),
     pytest.param("2016-03-01T24:00:00,1.5", "bad timestamp", id="hour-24"),
@@ -135,20 +135,48 @@ NEAR_CANONICAL = [
     pytest.param("2016-03-01T05:00:00,\u0661.5", [1.0, 1.5, 2.0], id="arabic-indic-one"),
     pytest.param("2016-03-01T05:00:00, 1.5", [1.0, 1.5, 2.0], id="padded-cell"),
     pytest.param("2016-03-01T05:00:00,1.5" + "0" * 400, [1.0, 1.5, 2.0], id="longer-than-canonical"),
+    # line breaks to splitlines but not to a line-feed split: two rows, not one
+    *(pytest.param(f"2016-03-01T05:00:00,1.5{brk}2016-03-01T06:00:00,1.7", [1.0, 1.5, 1.7, 2.0],
+                   id=name)
+      for brk, name in (("\x0b", "vertical-tab"), ("\x0c", "form-feed"),
+                        ("\x1c", "file-separator"), ("\r", "lone-cr"))),
 ]
 
 
 @pytest.mark.parametrize("row, outcome", NEAR_CANONICAL)
 def test_near_canonical_rows_take_the_row_parser(row, outcome):
     body = ["2016-03-01T03:00:00,1.0", row, "2016-03-01T07:00:00,2.0"]
-    assert _canonical_long(body) is None
     text = "\n".join(["timestamp,price", *body]) + "\n"
+    assert _canonical_long(text) is None
     if isinstance(outcome, list):
         assert parse(text, zone="UTC").values.tolist() == outcome
     else:
         with pytest.raises(MalformedRow) as info:
             parse(text, zone="UTC")
         assert info.value.line_number == 3 and outcome in info.value.reason
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("timestamp,price\r\n{}\r\n{}\r\n", id="crlf"),
+    pytest.param("timestamp,price\n{}\n{}", id="no-final-newline"),
+    pytest.param("Timestamp , PRICE\n{}\n{}\n", id="padded-header"),
+])
+def test_numpy_pass_takes_crlf_unterminated_and_padded_header(text):
+    text = text.format("2016-03-01T03:00:00,1.0", "2016-03-01 04:00:00+01:00,2.0")
+    fast, rows = _canonical_long(text), _parse_long(text.splitlines())
+    assert fast is not None
+    for a, b in zip(fast[:3], rows[:3]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert fast[3] == rows[3] == [2, 3]
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\r\r"])  # the last: a CR before CRLF
+def test_header_line_split_by_splitlines_takes_the_row_parser(brk):
+    # splitlines reads a blank line 2 after the header, so the rows are lines 3 and 4
+    text = f"timestamp,price{brk}\n2016-03-01T03:00:00,1.0\n2016-03-01T03:00:00,2.0\n"
+    assert _canonical_long(text) is None
+    with pytest.raises(DuplicateTimestamp, match="at lines 3 and 4$"):
+        parse(text, zone="UTC")
 
 
 def test_long_naive_stamp_in_spring_gap_names_its_line():

@@ -200,9 +200,11 @@ def canonical_rows(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(body=st.lists(canonical_rows(), min_size=1, max_size=40))
-def test_numpy_pass_equals_the_row_parser_on_canonical_rows(body):
-    fast, rows = _canonical_long(body), _parse_rows(body)
+@given(body=st.lists(canonical_rows(), min_size=1, max_size=40),
+       newline=st.sampled_from(["\n", "\r\n"]), final_newline=st.booleans())
+def test_numpy_pass_equals_the_row_parser_on_canonical_rows(body, newline, final_newline):
+    text = newline.join(["timestamp,price", *body]) + (newline if final_newline else "")
+    fast, rows = _canonical_long(text), _parse_rows(body)
     assert fast is not None
     for a, b in zip(fast[:3], rows[:3]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -51,8 +51,11 @@ COMMANDS = [
     ["analyze-trend", *TRENDS, *UTC, "--jobs", "2", "--out", "trend_jobs2"],
     ["analyze-trend", *TRENDS[:3], "malformed.csv", *UTC, "--jobs", "2", "--out", "trend_malformed"],
     ["analyze-trend", *TRENDS[:2], "malformed.csv", *UTC, "--jobs", "1", "--out", "trend_two"],
+    ["analyze-trend", *TRENDS[:3], "--zone", "Nowhere/Zone", "--out", "trend_bad_zone"],
     ["ingest-check", "prices_2016.csv", *UTC],
     ["ingest-check", "berlin_2016.csv", "--zone", "Europe/Berlin"],
+    # a spreadsheet export: byte-order mark and CRLF line ends
+    ["ingest-check", "berlin_crlf_bom_2016.csv", "--zone", "Europe/Berlin"],
     # zone tables: a sparse year (not covered by the table parsing built), and
     # a New York year stamped in UTC (covered although no stamp is a wall time)
     ["ingest-check", "berlin_sparse_2016.csv", "--zone", "Europe/Berlin", "--gap-limit", "100000"],
@@ -148,6 +151,9 @@ def write_inputs(work: Path) -> None:
         "timestamp,price\n2016-01-01T00:00Z,not_a_number\n", encoding="utf-8"
     )
     (work / "berlin_2016.csv").write_text(berlin_year_csv(2016), encoding="utf-8")
+    (work / "berlin_crlf_bom_2016.csv").write_text(
+        berlin_year_csv(2016), encoding="utf-8-sig", newline="\r\n"
+    )
     (work / "berlin_wide_2016.csv").write_text(berlin_wide_csv(2016), encoding="utf-8")
     rows = utc_year_rows(2016)
     zulu = [row.replace(",", "Z,") for row in rows]
