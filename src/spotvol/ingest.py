@@ -153,7 +153,7 @@ def _read_text(source) -> str:
     if isinstance(source, (str, Path)):
         try:
             data = Path(source).read_bytes()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL
             raise InputError(f"cannot read {source}: {exc}") from exc
     elif isinstance(source, bytes):
         data = source

@@ -343,14 +343,39 @@ def load_year_report(path) -> dict:
 
 
 def assemble_report(config: RunConfig, report_dir) -> dict:
-    """Rebuild trend.json / trend.csv / spectrum.csv from the year_<Y>.json
-    files in a directory, keeping the failed-year records of its trend.json
-    (a failed year leaves no year report).  Every year report that
-    trend.json lists must be there.  A directory where every year failed
-    holds only a trend.json naming no year, which then also gives the
-    config echo."""
+    """Rebuild trend.json / trend.csv / spectrum.csv from the year reports
+    of a run directory, keeping the failed-year records of its trend.json
+    (a failed year leaves no year report).  With a trend.json, the year
+    reports are exactly those its year_files lists, each of which must be
+    there; any other year_<Y>.json is ignored.  Without one, every
+    year_<Y>.json in the directory is used.  A directory where every year
+    failed holds only a trend.json naming no year, which then also gives
+    the config echo."""
     report_dir = Path(report_dir)
-    paths = sorted(report_dir.glob("year_*.json"))
+    previous = report_dir / "trend.json"
+    doc = {"errors": []}
+    if previous.exists():
+        doc = reports.read_json(previous, "trend report", ("errors",))
+        errors, listed = doc["errors"], doc.get("year_files", {})
+        for ok, problem in (
+            (isinstance(errors, list) and all(map(_error_record, errors)),
+             "errors is not a list of records"),
+            (isinstance(listed, dict)
+             and all(name == f"year_{y}.json" for y, name in listed.items()),
+             "year_files is not an object of year_<Y>.json names"),
+            (isinstance(doc.get("config", {}), dict), "config is not an object"),
+            (isinstance(doc.get("years", []), list), "years is not a list"),
+        ):
+            if not ok:
+                raise InputError(f"{previous} is not a trend report ({problem})")
+        paths = sorted(report_dir / name for name in listed.values())
+        for path in paths:
+            if not path.exists():
+                raise InputError(f"year report {path.name!r} listed in {previous} is missing")
+        if not paths:
+            doc = reports.read_json(previous, "trend report", ("errors", "config", "years"))
+    else:
+        paths = sorted(report_dir.glob("year_*.json"))
     year_reports = [load_year_report(p) for p in paths]
     # Echo the config the year reports were produced with, not the current
     # invocation's, so the reassembled report matches the original run.
@@ -360,25 +385,6 @@ def assemble_report(config: RunConfig, report_dir) -> dict:
             raise InputError(
                 f"{path} was produced with a different config than {paths[0].name}"
             )
-    previous = report_dir / "trend.json"
-    doc = {"errors": []}
-    if previous.exists():
-        keys = ("errors",) if year_reports else ("errors", "config", "years")
-        doc = reports.read_json(previous, "trend report", keys)
-        errors, listed = doc["errors"], doc.get("year_files", {})
-        for ok, problem in (
-            (isinstance(errors, list) and all(map(_error_record, errors)),
-             "errors is not a list of records"),
-            (isinstance(listed, dict), "year_files is not an object"),
-            (isinstance(doc.get("config", {}), dict), "config is not an object"),
-            (isinstance(doc.get("years", []), list), "years is not a list"),
-        ):
-            if not ok:
-                raise InputError(f"{previous} is not a trend report ({problem})")
-        names = [p.name for p in paths]
-        for name in listed.values():
-            if name not in names:
-                raise InputError(f"year report {name!r} listed in {previous} is missing")
     if not year_reports:
         # only a run where every input failed leaves no year report to rebuild from
         if "years" not in doc or doc["years"]:

@@ -1,7 +1,10 @@
 """Command-line pipeline: subcommands, exit codes, report files."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -202,6 +205,38 @@ def test_report_rebuilds_trend_from_year_reports(tmp_path):
     assert (out / "trend.json").read_bytes() == (rebuilt / "trend.json").read_bytes()
     assert (out / "trend.csv").read_bytes() == (rebuilt / "trend.csv").read_bytes()
     assert (out / "spectrum.csv").read_bytes() == (rebuilt / "spectrum.csv").read_bytes()
+
+
+def test_report_rebuilds_only_the_year_reports_its_trend_report_lists(tmp_path):
+    files = [
+        str(make_year_csv(tmp_path, year, mu, seed))
+        for year, mu, seed in ((2013, 5.0, 4), (2014, 4.0, 1), (2015, 3.0, 2), (2016, 2.0, 3))
+    ]
+    out = tmp_path / "out"
+    flags = ["--zone", "UTC", "--permutations", "100", "--out", str(out)]
+    assert main(["analyze-trend", *files, *flags]) == 0
+    # a second run of fewer years into the same directory
+    assert main(["analyze-trend", *files[1:], *flags]) == 0
+    names = ("trend.json", "trend.csv", "spectrum.csv")
+    second = {name: (out / name).read_bytes() for name in names}
+    assert json.loads(second["trend.json"])["years"] == [2014, 2015, 2016]
+    assert (out / "year_2013.json").exists()  # the first run's, which report must not use
+    assert main(["report", str(out)]) == 0
+    for name, data in second.items():
+        assert (out / name).read_bytes() == data, name
+
+
+def test_report_leaves_scipy_special_unloaded(tmp_path):
+    run = tmp_path / "run"
+    _fake_year_reports(run, ((2013, 5.0), (2014, 4.0), (2015, 3.0), (2016, 2.0)))
+    code = (
+        "import sys; from spotvol.cli import main;"
+        f"assert main(['report', {str(run)!r}]) == 0;"
+        "assert 'scipy.special' not in sys.modules, 'scipy.special loaded'"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(sv.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert json.loads((run / "trend.json").read_text())["years"] == [2013, 2014, 2015, 2016]
 
 
 def test_trend_from_reports_mu_4_3_2_exact(tmp_path):
@@ -468,9 +503,9 @@ def test_library_trend_below_three_years_names_in_memory_input(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def _fake_year_reports(directory):
+def _fake_year_reports(directory, points=((2014, 4.0), (2015, 3.0), (2016, 2.0))):
     directory.mkdir()
-    for year, mu in ((2014, 4.0), (2015, 3.0), (2016, 2.0)):
+    for year, mu in points:
         doc = {
             "year": year,
             "config": RunConfig().echo(),
@@ -703,12 +738,14 @@ def test_report_refuses_a_run_whose_listed_year_report_is_gone(tmp_path, capsys)
     assert not rebuilt.exists()
     assert (run / "trend.json").read_bytes() == trend_json
 
-    # a year_files entry that is not an object is an input error naming trend.json
-    doc = json.loads(trend_json)
-    doc["year_files"] = ["year_2014.json"]
-    (run / "trend.json").write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["report", str(run)]) == 2
-    assert f"{run / 'trend.json'} is not a trend report (year_files" in capsys.readouterr().err
+    # a year_files entry that is not an object, or that names a file other than
+    # year_<Y>.json in the run directory, is an input error naming trend.json
+    for listed in (["year_2014.json"], {"2014": "../run/year_2014.json"}, {"2014": 5}):
+        doc = json.loads(trend_json)
+        doc["year_files"] = listed
+        (run / "trend.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["report", str(run)]) == 2
+        assert f"{run / 'trend.json'} is not a trend report (year_files" in capsys.readouterr().err
 
 
 def _drop(section, key):

@@ -217,6 +217,12 @@ def test_non_utf8_input_names_its_line(tmp_path, mark):
         assert info.value.line_number == 4
 
 
+def test_path_holding_a_nul_is_an_input_error_naming_it():
+    for fmt in ("long", "wide"):
+        with pytest.raises(sv.InputError, match="^cannot read a\x00b: embedded null byte$"):
+            sv.parse_price_csv("a\x00b", format=fmt)
+
+
 def test_empty_inputs():
     with pytest.raises(EmptyInput):
         parse("")

@@ -12,6 +12,7 @@ import spotvol as sv
 from spotvol import DegenerateDesign
 from spotvol.pipeline import trend_from_year_reports
 from spotvol.reports import write_trend_csv
+from spotvol.trend import _T975
 
 
 def test_perfect_line_recovered_exactly():
@@ -138,12 +139,24 @@ def test_tail_trend_keeps_monotone_shape(tmp_path):
     assert [float(tail) for _, tail in trend_csv_tails(tmp_path, report)] == values
 
 
+def test_t975_table_matches_scipy_stdtrit_bit_for_bit():
+    from scipy.special import stdtrit
+
+    assert len(_T975) == 30
+    for dof, t in enumerate(_T975, start=1):
+        assert t == float(stdtrit(dof, 0.975)), dof
+
+
 def test_importing_spotvol_leaves_scipy_unloaded():
-    # scipy is imported by fit_trend alone, so the CLI starts without it
+    # the CLI starts without scipy, and fit_trend loads scipy.special only
+    # past its table of t quantiles: a fit of more than 32 points
     code = (
         "import sys, spotvol, spotvol.cli;"
         "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), 'scipy loaded';"
         "spotvol.fit_trend([(2014, 4.0), (2015, 3.0), (2016, 2.0)]);"
+        "spotvol.fit_trend([(1990 + k, k % 5) for k in range(32)]);"
+        "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), 'loaded at 32';"
+        "spotvol.fit_trend([(1990 + k, k % 5) for k in range(33)]);"
         "assert 'scipy.special' in sys.modules"
     )
     src = str(Path(sv.__file__).resolve().parents[1])

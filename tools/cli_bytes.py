@@ -69,6 +69,11 @@ COMMANDS = [
     ["report", "trend_jobs1", "--out", "report_out"],
     # in place, on a copy of a run with a failed year (made just before)
     ["report", "report_in_place"],
+    # a second run of fewer years into the first run's --out: report rebuilds
+    # the second run, not the first run's year_2013.json left beside it
+    ["analyze-trend", *TRENDS, *UTC, "--permutations", "100", "--out", "trend_reused"],
+    ["analyze-trend", *TRENDS[1:], *UTC, "--permutations", "100", "--out", "trend_reused"],
+    ["report", "trend_reused"],
 ]
 
 
