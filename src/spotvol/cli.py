@@ -7,8 +7,8 @@ Subcommands:
     synth          generate a synthetic year from a JSON spec
     report         rebuild the trend report from existing year reports
 
-Exit codes: 0 on success, 2 for input/configuration errors, 3 for
-numerical or statistical failures.
+Exit codes: 0 on success, 2 for input/configuration errors (a run too
+large for memory among them), 3 for numerical or statistical failures.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def main(argv=None) -> int:
         stage = f" [{exc.stage}]" if exc.stage else ""
         print(f"error{stage}: {exc}", file=sys.stderr)
         return EXIT_INPUT if isinstance(exc, InputError) else EXIT_ANALYSIS
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:  # MemoryError: a --permutations too large
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -226,19 +226,12 @@ _PRICE_BYTES[[0, *b"0123456789+-.eE"]] = True  # 0 pads a short row
 _LONGEST_ROW = _STAMPS[1][0].size + len(f"{-sys.float_info.max:.6f}")
 
 
-def _digits(m: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """The decimal number in byte columns [start, stop) of each row."""
-    number = np.zeros(len(m), dtype=np.int32)
-    for column in range(start, stop):
-        number = number * 10 + (m[:, column] - 48)
-    return number
-
-
 def _canonical_long(text: str):
     """_parse_long's result on ``text.splitlines()`` in one numpy pass over
     the bytes, or None unless the header is one line and every data row is
-    ``YYYY-MM-DD{T| }HH:00:00[±HH:00],<price>`` naming a real hour and a
-    finite price.  Never raises: every other text goes to _parse_long."""
+    ``YYYY-MM-DD{T| }HH:00:00[±HH:00],<price>`` in the first row's stamp
+    form (naive or with an offset), naming a real hour and a finite price.
+    Never raises: every other text goes to _parse_long."""
     if not text.isascii() or "\0" in text:
         return None
     data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
@@ -260,40 +253,30 @@ def _canonical_long(text: str):
     padded = np.append(data, np.zeros(longest, dtype=np.uint8))
     m = np.lib.stride_tricks.sliding_window_view(padded, longest)[starts]
     m[np.arange(longest) >= lengths[:, None]] = 0
-    aware = m[:, 19] != ord(",")
-    forms = [(~aware, False), (aware, True)]
-    if aware.all() or not aware.any():  # one stamp form: read m in place
-        forms = [(slice(None), bool(aware[0]))]
-    values = np.empty(len(m))
+    with_offset = bool(m[0, 19] != ord(","))
+    row, alt = _STAMPS[with_offset]
+    width, digit, stamp = row.size, row == ord("#"), m[:, :row.size]
+    if longest <= width or not (
+        (((stamp - 48) < 10) | ~digit).all() and ((stamp == row) | (stamp == alt) | digit).all()
+        and m[:, width].all() and _PRICE_BYTES[m[:, width:]].all()
+    ):
+        return None
+    try:
+        values = np.ascontiguousarray(m[:, width:]).view(f"S{longest - width}").ravel().astype(float)
+        # numpy's ISO reader refuses a month, day or hour that is not on the calendar
+        hours = np.ascontiguousarray(m[:, :13]).view("S13").ravel().astype("datetime64[h]")
+    except ValueError:  # a price that is no number, such as "1e" or "1.2.3", or no such hour
+        return None
+    # numpy reads year 0, which datetime does not
+    if not np.isfinite(values).all() or hours.min() < np.datetime64("0001-01-01T00"):
+        return None
     offsets = np.full(len(m), _NAIVE, dtype=np.int64)
-    for rows, with_offset in forms:
-        (row, alt), part = _STAMPS[with_offset], m[rows]
-        width, digit = row.size, row == ord("#")
-        stamp = part[:, :width]
-        if part.shape[1] <= width or not (
-            (((stamp - 48) < 10) | ~digit).all() and ((stamp == row) | (stamp == alt) | digit).all()
-            and part[:, width].all() and _PRICE_BYTES[part[:, width:]].all()
-        ):
+    if with_offset:
+        offsets = (m[:, 20].astype(np.int64) - 48) * 10 + (m[:, 21] - 48)
+        if offsets.max() > 23:
             return None
-        prices = np.ascontiguousarray(part[:, width:]).view(f"S{part.shape[1] - width}").ravel()
-        try:
-            values[rows] = prices.astype(float)
-        except ValueError:  # not a number, such as "1e" or "1.2.3"
-            return None
-        if with_offset:
-            hours = _digits(part, 20, 22)
-            if (hours > 23).any():
-                return None
-            offsets[rows] = np.where(part[:, 19] == ord("-"), -hours, hours)
-    if not np.isfinite(values).all():
-        return None
-    year, month, day, hour = (_digits(m, a, a + n) for a, n in ((0, 4), (5, 2), (8, 2), (11, 2)))
-    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
-    days = months.astype("datetime64[D]") + (day - 1)  # a day off its month lands in another
-    if not ((year > 0) & (month >= 1) & (month <= 12) & (days.astype("datetime64[M]") == months)
-            & (hour <= 23)).all():
-        return None
-    return days.astype(np.int64) * HOURS_PER_DAY + hour, offsets, values, list(range(2, len(m) + 2))
+        offsets[m[:, 19] == ord("-")] *= -1
+    return hours.astype(np.int64), offsets, values, list(range(2, len(m) + 2))
 
 
 def _parse_rows(body: list[str]):

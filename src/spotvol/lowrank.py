@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput, RankOutOfRange, ShapeMismatch
+from .errors import AnalysisError, NonFiniteInput, RankOutOfRange, ShapeMismatch
 from .ingest import DayMatrix
 
 
@@ -112,7 +112,9 @@ def decompose(matrix: DayMatrix | np.ndarray) -> SpectralDecomposition:
     """Full SVD of the value grid, singular values in descending order.
 
     Raises NonFiniteInput listing the offending cells if the grid holds
-    NaN or infinities (missing cells must be imputed before this point).
+    NaN or infinities (missing cells must be imputed before this point),
+    and AnalysisError if its squared Frobenius norm, the energy every
+    truncation is measured against, overflows a float.
     """
     a = _as_grid(matrix)
     if not np.all(np.isfinite(a)):
@@ -120,6 +122,12 @@ def decompose(matrix: DayMatrix | np.ndarray) -> SpectralDecomposition:
         raise NonFiniteInput([(int(i), int(j)) for i, j in bad])
 
     u, s, vt = np.linalg.svd(a, full_matrices=False)
+    with np.errstate(over="ignore"):
+        energy = np.sum(s**2)
+    if not np.isfinite(energy):
+        raise AnalysisError(
+            f"squared Frobenius norm overflows a float (largest singular value {s[0]:.6g})"
+        )
     flip = u.mean(axis=0) < 0
     u[:, flip] *= -1.0
     vt[flip, :] *= -1.0

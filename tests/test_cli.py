@@ -191,6 +191,32 @@ def test_analyze_trend_single_bad_year_degrades(tmp_path, capsys):
         assert (out / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
+def test_prices_whose_squares_overflow_fail_their_year_at_decompose(tmp_path, capsys):
+    files = [
+        str(make_year_csv(tmp_path, year, mu, seed))
+        for year, mu, seed in ((2013, 5.0, 4), (2014, 4.0, 1), (2015, 3.0, 2))
+    ]
+    huge = make_year_csv(tmp_path, 2016, 2.0, 3)
+    lines = huge.read_text().splitlines()
+    for k in (100, 101):
+        lines[k] = lines[k].partition(",")[0] + ",1e308"
+    huge.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "year"
+    assert main(["analyze-year", str(huge), "--zone", "UTC", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error [decompose]: squared Frobenius norm overflows") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+    out = tmp_path / "trend"
+    assert main(["analyze-trend", *files, str(huge), "--zone", "UTC", "--out", str(out)]) == 3
+    combined = json.loads((out / "trend.json").read_text())
+    assert combined["years"] == [2013, 2014, 2015] and combined["trend"] is not None
+    [record] = combined["errors"]
+    assert (record["input"], record["stage"], record["error"]) == (
+        "prices_2016.csv", "decompose", "AnalysisError"
+    )
+
+
 def test_report_rebuilds_trend_from_year_reports(tmp_path):
     files = [
         str(make_year_csv(tmp_path, year, mu, seed))
@@ -280,6 +306,22 @@ def test_exit_codes(tmp_path):
     assert main(["synth", str(bad_spec)]) == 2
     # report dir without year reports
     assert main(["report", str(tmp_path)]) == 2
+
+
+def test_permutations_beyond_memory_end_in_one_error_line(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    # stands in for np.empty(10**12), which an overcommitting kernel may grant
+    monkeypatch.setattr("spotvol.seasonality.permutation_test", out_of_memory)
+    csv_path = make_year_csv(tmp_path)
+    capsys.readouterr()
+    argv = ["analyze-year", str(csv_path), "--zone", "UTC", "--out", str(tmp_path / "o"),
+            "--permutations", "1000000000000"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)\n"
+    )
 
 
 def test_gap_limit_and_dst_policy_flags(tmp_path, capsys):

@@ -124,6 +124,7 @@ NEAR_CANONICAL = [
     pytest.param("2016-13-01T05:00:00,1.5", "bad timestamp", id="month-13"),
     pytest.param("2016-03-01T05:00:00+24:00,1.5", "bad timestamp", id="offset-24"),
     pytest.param("2016-03-01T05:00:00+01:30,1.5", "is not on an hour boundary", id="offset-90-min"),
+    pytest.param("2016-03-01T05:00:00+00:00,1.5", [1.0, 1.5, 2.0], id="mixed-forms"),
     pytest.param("2016-03-01T05:00:00Z,1.5", [1.0, 1.5, 2.0], id="z-suffix"),
     pytest.param("2016-03-01T05:00:00,nan", "price 'nan' is not finite", id="nan"),
     pytest.param("2016-03-01T05:00:00,inf", "price 'inf' is not finite", id="inf"),
@@ -156,13 +157,33 @@ def test_near_canonical_rows_take_the_row_parser(row, outcome):
         assert info.value.line_number == 3 and outcome in info.value.reason
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param("timestamp,price\r\n{}\r\n{}\r\n", id="crlf"),
-    pytest.param("timestamp,price\n{}\n{}", id="no-final-newline"),
-    pytest.param("Timestamp , PRICE\n{}\n{}\n", id="padded-header"),
+# Rows that break the offset form's own rules, in a body whose other rows carry
+# offsets too (in a naive body every row with an offset mixes the forms)
+@pytest.mark.parametrize("row, reason", [
+    pytest.param("2016-03-01T05:00:00+24:00,1.5", "bad timestamp", id="offset-24"),
+    pytest.param("2016-03-01T05:00:00-24:00,1.5", "bad timestamp", id="offset-minus-24"),
+    pytest.param("2016-03-01T05:00:00+01:30,1.5", "is not on an hour boundary", id="offset-90-min"),
+    pytest.param("2016-02-30T05:00:00+01:00,1.5", "bad timestamp", id="feb-30"),
 ])
-def test_numpy_pass_takes_crlf_unterminated_and_padded_header(text):
-    text = text.format("2016-03-01T03:00:00,1.0", "2016-03-01 04:00:00+01:00,2.0")
+def test_offset_rows_off_the_calendar_take_the_row_parser(row, reason):
+    body = ["2016-03-01T03:00:00+00:00,1.0", row, "2016-03-01T07:00:00-01:00,2.0"]
+    text = "\n".join(["timestamp,price", *body]) + "\n"
+    assert _canonical_long(text) is None
+    with pytest.raises(MalformedRow) as info:
+        parse(text, zone="UTC")
+    assert info.value.line_number == 3 and reason in info.value.reason
+
+
+@pytest.mark.parametrize("text, stamps", [
+    pytest.param("timestamp,price\r\n{}\r\n{}\r\n", ("T03:00:00", " 04:00:00"), id="crlf"),
+    pytest.param("timestamp,price\n{}\n{}", ("T03:00:00+01:00", " 04:00:00-05:00"),
+                 id="no-final-newline"),
+    pytest.param("Timestamp , PRICE\n{}\n{}\n", (" 03:00:00+01:00", "T04:00:00+01:00"),
+                 id="padded-header"),
+])
+def test_numpy_pass_takes_crlf_unterminated_and_padded_header(text, stamps):
+    # one stamp form per body, each body spelling its date and hour both ways
+    text = text.format(f"2016-03-01{stamps[0]},1.0", f"2016-03-01{stamps[1]},2.0")
     fast, rows = _canonical_long(text), _parse_long(text.splitlines())
     assert fast is not None
     for a, b in zip(fast[:3], rows[:3]):
@@ -177,6 +198,17 @@ def test_header_line_split_by_splitlines_takes_the_row_parser(brk):
     assert _canonical_long(text) is None
     with pytest.raises(DuplicateTimestamp, match="at lines 3 and 4$"):
         parse(text, zone="UTC")
+
+
+def test_fall_back_rows_with_offsets_in_a_naive_year_take_the_row_parser():
+    # both legs of the doubled wall hour written with their offsets
+    naive = mixed = berlin_year_csv(2016)
+    for offset in ("+02:00", "+01:00"):
+        mixed = mixed.replace("2016-10-30T02:00:00,", f"2016-10-30T02:00:00{offset},", 1)
+    assert mixed.count(":00+0") == 2 and _canonical_long(mixed) is None
+    a, b = (sv.calendarize(parse(text)) for text in (naive, mixed))
+    assert np.array_equal(a.values, b.values) and np.array_equal(a.imputed, b.imputed)
+    assert a.manifest == b.manifest
 
 
 def test_long_naive_stamp_in_spring_gap_names_its_line():

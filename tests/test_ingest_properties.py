@@ -205,6 +205,10 @@ def canonical_rows(draw):
 def test_numpy_pass_equals_the_row_parser_on_canonical_rows(body, newline, final_newline):
     text = newline.join(["timestamp,price", *body]) + (newline if final_newline else "")
     fast, rows = _canonical_long(text), _parse_rows(body)
+    # the numpy pass takes only a body in one stamp form: "," at 19 naive, 25 with an offset
+    if len({row.index(",") for row in body}) > 1:
+        assert fast is None
+        return
     assert fast is not None
     for a, b in zip(fast[:3], rows[:3]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

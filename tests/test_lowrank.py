@@ -163,6 +163,15 @@ def test_non_finite_cells_reported():
     assert (4, 2) in info.value.cells and (7, 9) in info.value.cells
 
 
+@pytest.mark.parametrize("value", [1e200, np.finfo(float).max])
+def test_finite_cells_whose_energy_overflows_rejected(value):
+    # pyproject turns warnings into errors, so this also checks none is printed
+    a = np.ones((24, 10))
+    a[4:6, 2] = value
+    with pytest.raises(sv.AnalysisError, match="squared Frobenius norm overflows a float"):
+        sv.decompose(a)
+
+
 def test_spectrum_report_rows(tmp_path):
     rank1 = np.outer(np.arange(1.0, 25.0), np.ones(30))
     a, b = sv.decompose(rank1), sv.decompose(rank1)

@@ -60,9 +60,15 @@ COMMANDS = [
     # a New York year stamped in UTC (covered although no stamp is a wall time)
     ["ingest-check", "berlin_sparse_2016.csv", "--zone", "Europe/Berlin", "--gap-limit", "100000"],
     ["ingest-check", "new_york_utc_2016.csv", "--zone", "America/New_York"],
-    # long files that only the row parser takes: "Z" stamps, and a :30 stamp on line 5000
+    # long files that only the row parser takes: "Z" stamps, a :30 stamp on line
+    # 5000, and a naive Berlin year whose two fall-back rows carry their offsets
     ["ingest-check", "zulu_2016.csv", *UTC],
     ["ingest-check", "half_hour_2016.csv", *UTC],
+    ["ingest-check", "berlin_mixed_2016.csv", "--zone", "Europe/Berlin"],
+    ["analyze-year", "berlin_mixed_2016.csv", "--zone", "Europe/Berlin", "--permutations", "200",
+     "--out", "year_mixed"],
+    # finite prices whose squares overflow a float
+    ["analyze-year", "overflow_2016.csv", *UTC, "--out", "year_overflow"],
     # the wide parser: blank cells, a padded cell and a blank line
     ["ingest-check", "berlin_wide_2016.csv", *WIDE],
     ["analyze-year", "berlin_wide_2016.csv", *WIDE, "--permutations", "200", "--out", "year_wide"],
@@ -160,12 +166,19 @@ def write_inputs(work: Path) -> None:
         berlin_year_csv(2016), encoding="utf-8-sig", newline="\r\n"
     )
     (work / "berlin_wide_2016.csv").write_text(berlin_wide_csv(2016), encoding="utf-8")
+    mixed = berlin_year_csv(2016)
+    for offset in ("+02:00", "+01:00"):
+        mixed = mixed.replace("2016-10-30T02:00:00,", f"2016-10-30T02:00:00{offset},", 1)
+    (work / "berlin_mixed_2016.csv").write_text(mixed, encoding="utf-8")
     rows = utc_year_rows(2016)
     zulu = [row.replace(",", "Z,") for row in rows]
+    overflow = [row.partition(",")[0] + ",1e308" if i in (99, 100) else row
+                for i, row in enumerate(rows)]  # data rows 100 and 101
     rows[4998] = rows[4998].replace(":00:00,", ":30:00,")  # data row 4998 is line 5000
     sparse = sparse_rows(berlin_year_csv(2016))
     new_york = utc_stamped_rows(2016, "America/New_York")
-    for name, body in (("zulu_2016.csv", zulu), ("half_hour_2016.csv", rows),
+    for name, body in (("zulu_2016.csv", zulu), ("overflow_2016.csv", overflow),
+                       ("half_hour_2016.csv", rows),
                        ("berlin_sparse_2016.csv", sparse), ("new_york_utc_2016.csv", new_york)):
         (work / name).write_text("\n".join(["timestamp,price", *body]) + "\n", encoding="utf-8")
 
