@@ -52,7 +52,7 @@ from .residual_stats import (
     probplot_points,
     tail_median,
 )
-from .seasonality import SeasonalityTest, angular_momentum, permutation_test
+from .seasonality import SeasonalityTest, permutation_test
 from .synth import (
     SynthSpec,
     constant_amplitude,
@@ -103,7 +103,6 @@ __all__ = [
     "analyze_residuals",
     "analyze_trend",
     "analyze_year",
-    "angular_momentum",
     "assemble_report",
     "calendarize",
     "constant_amplitude",

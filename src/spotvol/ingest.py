@@ -276,7 +276,7 @@ def _canonical_long(text: str):
         if offsets.max() > 23:
             return None
         offsets[m[:, 19] == ord("-")] *= -1
-    return hours.astype(np.int64), offsets, values, list(range(2, len(m) + 2))
+    return hours.astype(np.int64), offsets, values, np.arange(2, len(m) + 2)
 
 
 def _parse_rows(body: list[str]):
@@ -294,8 +294,8 @@ def _parse_rows(body: list[str]):
         offsets.append(_NAIVE if ts.tzinfo is None else ts.utcoffset() // _HOUR)
         values.append(_parse_price(cells[1], line_no))
         line_nos.append(line_no)
-    fields = np.array(fields, dtype=np.int64) - EPOCH_ORDINAL * HOURS_PER_DAY
-    return fields, np.array(offsets, dtype=np.int64), np.array(values, dtype=float), line_nos
+    fields, offsets, line_nos = np.array([fields, offsets, line_nos], dtype=np.int64)
+    return fields - EPOCH_ORDINAL * HOURS_PER_DAY, offsets, np.array(values, dtype=float), line_nos
 
 
 def _parse_wide(lines: list[str]):
@@ -323,10 +323,11 @@ def _parse_wide(lines: list[str]):
         days.append(day.toordinal())
         values.extend([_parse_price(cell, line_no) if cell else np.nan for cell in cells[1:]])
         line_nos.append(line_no)
-    starts = (np.array(days, dtype=np.int64) - EPOCH_ORDINAL) * HOURS_PER_DAY
+    days, line_nos = np.array([days, line_nos], dtype=np.int64)
+    starts = (days - EPOCH_ORDINAL) * HOURS_PER_DAY
     fields = (starts[:, None] + np.arange(HOURS_PER_DAY)).ravel()
     offsets = np.full(fields.size, _NAIVE, dtype=np.int64)
-    return fields, offsets, np.array(values, dtype=float), np.repeat(line_nos, HOURS_PER_DAY).tolist()
+    return fields, offsets, np.array(values, dtype=float), np.repeat(line_nos, HOURS_PER_DAY)
 
 
 def parse_price_csv(
@@ -367,7 +368,7 @@ def parse_price_csv(
     if bad.size:
         k = np.flatnonzero(naive)[bad[0]]
         raise MalformedRow(
-            line_nos[k], f"{iso_hour(fields[k])} does not exist in local time (spring forward)"
+            int(line_nos[k]), f"{iso_hour(fields[k])} does not exist in local time (spring forward)"
         )
     order = np.argsort(walls, kind="stable")
     repeated = np.empty(walls.size, dtype=bool)
@@ -385,7 +386,7 @@ def parse_price_csv(
     dup = np.flatnonzero(utc[seen][1:] == utc[seen][:-1])
     if dup.size:
         a, b = seen[dup[0]], seen[dup[0] + 1]
-        first, second = sorted((line_nos[order[a]], line_nos[order[b]]))
+        first, second = sorted((int(line_nos[order[a]]), int(line_nos[order[b]])))
         stamp = iso_hour(fields[b], fields[b] - utc[b])
         raise DuplicateTimestamp(f"duplicate timestamp {stamp} at lines {first} and {second}")
 

@@ -56,17 +56,6 @@ def _abs_and_weights(residuals: ResidualSeries | np.ndarray) -> tuple[np.ndarray
     return r, x * x / 1000.0
 
 
-def angular_momentum(residuals: ResidualSeries | np.ndarray) -> float:
-    """Edge-concentration statistic L of the absolute residuals.
-
-    L = (1/1000) * sum_h |R(h)| * x(h)^2 over the full hour grid in
-    temporal order (calendar-filled cells carry their interpolated
-    values, keeping the midyear pivot h_m = n/2 intact).
-    """
-    r, w = _abs_and_weights(residuals)
-    return float(r @ w)
-
-
 @functools.lru_cache(maxsize=2)
 def _seeded_states(seed: int, n_permutations: int) -> tuple[tuple[int, int], ...]:
     """PCG64 (state, inc) that default_rng((seed, i)) starts from, for each
@@ -84,35 +73,16 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def permutation_test(
-    residuals: ResidualSeries | np.ndarray,
-    n_permutations: int = DEFAULT_PERMUTATIONS,
-    seed: int = 0,
-    workers: int | None = None,
-) -> SeasonalityTest:
-    """One-sided permutation test of seasonal volatility concentration.
+def null_samples(r: np.ndarray, w: np.ndarray, seed: int, n: int, workers: int) -> np.ndarray:
+    """r[default_rng((seed, i)).permutation(r.size)] @ w for i < n, bit for bit.
 
-    Each permutation shuffles the absolute residuals across hour slots
-    with its own deterministic generator derived from (seed, index), so
-    the result is independent of execution order.  L is recomputed per
-    shuffle and compared against the observed value.  The indices run in
-    contiguous chunks on `workers` threads (default: usable_cores());
-    numpy's shuffle releases the GIL, and the samples do not depend on
-    the thread count.  Each draw's seeded starting state is computed once
-    per (seed, n_permutations) in a process and reused.
+    The indices run in contiguous chunks on `workers` threads; numpy's
+    shuffle releases the GIL, and the samples do not depend on the thread
+    count.  Each draw's seeded starting state is computed once per
+    (seed, n) in a process and reused.  r is not modified.
     """
-    if n_permutations < MIN_PERMUTATIONS:
-        raise TooFewPermutations(
-            f"need at least {MIN_PERMUTATIONS} permutations, got {n_permutations}"
-        )
-    r, w = _abs_and_weights(residuals)
-    workers = usable_cores() if workers is None else workers
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-    l_obs = float(r @ w)
-    samples = np.empty(n_permutations)
-    states = _seeded_states(seed, n_permutations)
+    samples = np.empty(n)
+    states = _seeded_states(seed, n)
 
     def fill(indices: range) -> None:
         # one generator per chunk, reset to draw i's seeded state: the stream
@@ -126,11 +96,40 @@ def permutation_test(
                           "has_uint32": 0, "uinteger": 0}
             samples[i] = rng.permutation(r) @ w
 
-    chunks = min(workers, n_permutations)
-    bounds = [n_permutations * k // chunks for k in range(chunks + 1)]
+    chunks = min(workers, n)
+    bounds = [n * k // chunks for k in range(chunks + 1)]
     with ThreadPoolExecutor(max_workers=chunks) as pool:
         list(pool.map(fill, map(range, bounds[:-1], bounds[1:])))
+    return samples
 
+
+def permutation_test(
+    residuals: ResidualSeries | np.ndarray,
+    n_permutations: int = DEFAULT_PERMUTATIONS,
+    seed: int = 0,
+    workers: int | None = None,
+) -> SeasonalityTest:
+    """One-sided permutation test of seasonal volatility concentration.
+
+    L = (1/1000) * sum_h |R(h)| * x(h)^2 over the full hour grid in
+    temporal order (calendar-filled cells carry their interpolated
+    values, keeping the midyear pivot h_m = n/2 intact).  Permutation i
+    shuffles the absolute residuals across hour slots with
+    default_rng((seed, i)) (see null_samples), so the result is
+    independent of execution order and of `workers` (default:
+    usable_cores()).
+    """
+    if n_permutations < MIN_PERMUTATIONS:
+        raise TooFewPermutations(
+            f"need at least {MIN_PERMUTATIONS} permutations, got {n_permutations}"
+        )
+    r, w = _abs_and_weights(residuals)
+    workers = usable_cores() if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+    l_obs = float(r @ w)
+    samples = null_samples(r, w, seed, n_permutations, workers)
     exceed = int(np.count_nonzero(samples >= l_obs))
     p_value = (exceed + 1) / (n_permutations + 1)
 

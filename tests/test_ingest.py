@@ -186,9 +186,9 @@ def test_numpy_pass_takes_crlf_unterminated_and_padded_header(text, stamps):
     text = text.format(f"2016-03-01{stamps[0]},1.0", f"2016-03-01{stamps[1]},2.0")
     fast, rows = _canonical_long(text), _parse_long(text.splitlines())
     assert fast is not None
-    for a, b in zip(fast[:3], rows[:3]):
+    for a, b in zip(fast, rows):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert fast[3] == rows[3] == [2, 3]
+    assert fast[3].tolist() == [2, 3]
 
 
 @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\r\r"])  # the last: a CR before CRLF
@@ -221,6 +221,18 @@ def test_long_naive_stamp_in_spring_gap_names_its_line():
             "2016-03-27T03:00,3.0\n"
         )
     assert info.value.line_number == 3
+
+
+def test_numpy_pass_row_errors_carry_int_line_numbers():
+    gap = "timestamp,price\n2016-03-27T01:00:00,1.0\n2016-03-27T02:00:00,2.0\n"
+    assert _canonical_long(gap) is not None
+    with pytest.raises(MalformedRow) as info:
+        parse(gap)
+    assert type(info.value.line_number) is int and str(info.value).startswith("line 3: ")
+    dup = "timestamp,price\n2016-07-01T12:00:00+00:00,1.0\n2016-07-01T14:00:00+02:00,2.0\n"
+    assert _canonical_long(dup) is not None
+    with pytest.raises(DuplicateTimestamp, match=r"^duplicate timestamp \S+ at lines 2 and 3$"):
+        parse(dup)
 
 
 def test_utf8_byte_order_mark_accepted(tmp_path):

@@ -210,6 +210,5 @@ def test_numpy_pass_equals_the_row_parser_on_canonical_rows(body, newline, final
         assert fast is None
         return
     assert fast is not None
-    for a, b in zip(fast[:3], rows[:3]):
+    for a, b in zip(fast, rows):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert fast[3] == rows[3]

@@ -1,4 +1,4 @@
-"""Angular-momentum statistic and its seeded permutation test."""
+"""Angular-momentum statistic L, its null draws and its seeded permutation test."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,19 @@ import spotvol as sv
 from spotvol import EmptySeries, ResidualSeries, TooFewPermutations, seasonality
 
 
+def statistic(residuals):
+    """The observed L, as the permutation test reports it."""
+    return sv.permutation_test(residuals, 100).l_observed
+
+
 def test_zero_residuals_zero_statistic():
-    assert sv.angular_momentum(np.zeros(8784)) == 0.0
+    assert statistic(np.zeros(8784)) == 0.0
 
 
 def test_constant_residuals_match_riemann_sum():
     # mean of x(h)^2 over the year tends to 1/3, so L -> n/3000
     n = 8784
-    value = sv.angular_momentum(np.ones(n))
+    value = statistic(np.ones(n))
     assert value == pytest.approx(n / 3000.0, rel=1e-3)
 
 
@@ -24,18 +29,18 @@ def test_statistic_counts_from_one_and_pivots_at_midyear():
     r = np.array([5.0, 1.0, 1.0, 7.0])
     h = np.arange(1, 5)
     x = (h - 2.0) / 2.0
-    assert sv.angular_momentum(r) == pytest.approx(float(np.abs(r) @ (x * x) / 1000.0))
+    assert statistic(r) == pytest.approx(float(np.abs(r) @ (x * x) / 1000.0))
 
 
 def test_accepts_residual_series_and_uses_absolute_values():
     values = np.array([-3.0, 2.0, -1.0, 4.0])
     rs = ResidualSeries(values=values, imputed=np.zeros(4, dtype=bool))
-    assert sv.angular_momentum(rs) == sv.angular_momentum(np.abs(values))
+    assert statistic(rs) == statistic(np.abs(values))
 
 
 def test_empty_series_rejected():
     with pytest.raises(EmptySeries):
-        sv.angular_momentum(np.array([1.0]))
+        statistic(np.array([1.0]))
     with pytest.raises(EmptySeries):
         sv.permutation_test(np.array([1.0]), 1000)
 
@@ -163,6 +168,18 @@ def test_samples_match_reference_in_every_cache_state():
     check(4)
     assert cache.cache_info().misses == misses + 1  # evicted, seeded again
     check(2**40 + 3)
+
+
+@pytest.mark.parametrize("seed, n, workers", [
+    pytest.param(2**64 + 7, 120, 2, id="three-word-seed"),
+    pytest.param(6, 101, 300, id="more-workers-than-draws"),
+])
+def test_null_samples_match_reference(seed, n, workers):
+    r, w = seasonality._abs_and_weights(np.random.default_rng(6).normal(0.0, 2.0, 1000))
+    before = r.copy()
+    samples = seasonality.null_samples(r, w, seed, n, workers)
+    assert np.array_equal(samples, _reference_samples(r, n, seed))
+    assert np.array_equal(r, before)
 
 
 def test_shuffle_streams_match_golden():

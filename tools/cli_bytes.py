@@ -47,6 +47,9 @@ COMMANDS = [
     ["analyze-year", "prices_2016.csv", *UTC, "--out", "year_default"],
     ["analyze-year", "prices_2016.csv", *UTC, "--seed", "5", "--permutations", "333",
      "--rank", "3", "--out", "year_flags"],
+    # a seed wider than one 32-bit entropy word (2**40 + 3)
+    ["analyze-year", "prices_2016.csv", *UTC, "--seed", "1099511627779", "--permutations", "100",
+     "--out", "year_wide_seed"],
     ["analyze-trend", *TRENDS, *UTC, "--jobs", "1", "--out", "trend_jobs1"],
     ["analyze-trend", *TRENDS, *UTC, "--jobs", "2", "--out", "trend_jobs2"],
     ["analyze-trend", *TRENDS[:3], "malformed.csv", *UTC, "--jobs", "2", "--out", "trend_malformed"],
