@@ -26,7 +26,7 @@ def main():
     matrix = sv.calendarize(series)
     dec = sv.decompose(matrix)
 
-    print(f"matrix: 24 x {matrix.values.shape[1]} ({series.year})")
+    print(f"matrix: 24 x {matrix.values.shape[1]} ({matrix.year})")
     print("\nleading singular values (normalized to sigma_1):")
     for k in range(6):
         bar = "#" * int(50 * dec.sigma_normalized[k])

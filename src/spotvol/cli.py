@@ -23,7 +23,7 @@ from . import __version__
 from .errors import InputError, SpotvolError
 from .ingest import FORMATS, DstPolicy
 from .pipeline import RunConfig, analyze_trend, analyze_year, assemble_report, load_matrix
-from .reports import read_json, series_to_long_csv
+from .reports import read_json, series_to_long_csv, write_long_csv
 from .residual_stats import ESTIMATORS
 from .seasonality import MIN_PERMUTATIONS
 from .synth import generate, spec_from_json
@@ -173,13 +173,12 @@ def _cmd_analyze_trend(args) -> int:
 
 def _cmd_synth(args) -> int:
     series = generate(spec_from_json(read_json(args.spec, "spec")))
-    text = series_to_long_csv(series)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+        write_long_csv(args.out, series)
         print(f"wrote {len(series)} hours to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(series_to_long_csv(series))
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import calendar
 import io
 import sys
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from datetime import date, datetime, timedelta
 from math import isfinite
 from pathlib import Path
@@ -89,30 +89,28 @@ class DstPolicy:
 
 @dataclass
 class PriceSeries:
-    """Hourly price entries for (at most) one market year, in time order.
+    """Hourly price entries in time order.
 
     ``utc_hours`` holds each entry's instant in epoch hours; ``values``
-    are EUR/MWh and may be zero or negative.  Entries not ``observed``
-    hold NaN and only mark a known-absent slot (wide-format empty cells).
-    ``zone`` is the market time zone whose wall-clock days calendarize
-    lays out; ``zone_offsets`` keeps the last table of its UTC offsets
-    that was built for the series (see offsets_table).
+    are EUR/MWh and may be zero or negative, so NaN is the one mark of a
+    known-absent slot (a blank wide-format cell).  ``zone`` is the market
+    time zone whose wall-clock days calendarize lays out.  ``zone_offsets``
+    is set, not passed in: it keeps the last table of the zone's UTC
+    offsets built for the series, by parse_price_csv or offsets_table.
     """
 
     utc_hours: np.ndarray
     values: np.ndarray
-    observed: np.ndarray
+    _: KW_ONLY
     market_label: str = ""
-    year: int | None = None
     zone: str = DEFAULT_ZONE
-    zone_offsets: ZoneOffsets | None = field(default=None, repr=False, compare=False)
+    zone_offsets: ZoneOffsets | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.utc_hours = np.asarray(self.utc_hours, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=float)
-        self.observed = np.asarray(self.observed, dtype=bool)
-        if not (len(self.utc_hours) == len(self.values) == len(self.observed)):
-            raise ValueError("utc_hours, values and observed must have equal length")
+        if len(self.utc_hours) != len(self.values):
+            raise ValueError("utc_hours and values must have equal length")
 
     def __len__(self) -> int:
         return len(self.utc_hours)
@@ -330,17 +328,13 @@ def _parse_wide(lines: list[str]):
     return fields, offsets, np.array(values, dtype=float), np.repeat(line_nos, HOURS_PER_DAY)
 
 
-def parse_price_csv(
-    source,
-    format: str = "long",
-    market_label: str = "",
-    zone: str = DEFAULT_ZONE,
-) -> PriceSeries:
+def parse_price_csv(source, format: str = "long", zone: str = DEFAULT_ZONE) -> PriceSeries:
     """Parse an hourly price CSV into a time-sorted PriceSeries.
 
     Long format is ``timestamp,price`` with ISO-8601 timestamps (offset or
     market wall time); wide format is ``date,h1,...,h24`` with empty cells
-    marking missing hours.  Zero and negative prices are legal.
+    marking missing hours (NaN in the series).  Zero and negative prices
+    are legal.  The series keeps the table of the zone's offsets built here.
 
     Raises MalformedRow, DuplicateTimestamp, EmptyInput, or InputError for
     an unknown zone.
@@ -356,7 +350,7 @@ def parse_price_csv(
             raise EmptyInput("no header row")
         parsed = (_parse_long if format == "long" else _parse_wide)(lines)
     fields, offsets, values, line_nos = parsed
-    observed = ~np.isnan(values)
+    present = ~np.isnan(values)
     offsets_in_zone = ZoneOffsets(zone, fields)
 
     # naive stamps are market wall time; a repeated wall hour is the second
@@ -364,7 +358,7 @@ def parse_price_csv(
     naive = offsets == _NAIVE
     walls = fields[naive]
     fold0, fold1, skipped = offsets_in_zone.resolve(walls)
-    bad = np.flatnonzero(skipped & observed[naive])
+    bad = np.flatnonzero(skipped & present[naive])
     if bad.size:
         k = np.flatnonzero(naive)[bad[0]]
         raise MalformedRow(
@@ -376,13 +370,13 @@ def parse_price_csv(
     utc = fields - offsets
     utc[naive] = np.where(repeated, fold1, fold0)
 
-    if not observed.any():
+    if not present.any():
         raise EmptyInput("no data rows")
 
     # sort by absolute instant, breaking ties (skipped DST labels) by wall time
     order = np.lexsort((fields, utc))
-    utc, fields, values, observed = utc[order], fields[order], values[order], observed[order]
-    seen = np.flatnonzero(observed)
+    utc, fields, values = utc[order], fields[order], values[order]
+    seen = np.flatnonzero(present[order])
     dup = np.flatnonzero(utc[seen][1:] == utc[seen][:-1])
     if dup.size:
         a, b = seen[dup[0]], seen[dup[0] + 1]
@@ -390,10 +384,9 @@ def parse_price_csv(
         stamp = iso_hour(fields[b], fields[b] - utc[b])
         raise DuplicateTimestamp(f"duplicate timestamp {stamp} at lines {first} and {second}")
 
-    local = utc + offsets_in_zone.at(utc)
-    first, last = years_of(np.array([local.min(), local.max()])).tolist()
-    year = first if first == last else None
-    return PriceSeries(utc, values, observed, market_label, year, zone, offsets_in_zone)
+    series = PriceSeries(utc, values, zone=zone)
+    series.zone_offsets = offsets_in_zone
+    return series
 
 
 # --- calendarization --------------------------------------------------------
@@ -412,17 +405,16 @@ def calendarize(
     (flagged imputed); longer runs raise GapTooLong.
     """
     policy = policy or DstPolicy()
-    if not series.observed.any():
+    present = ~np.isnan(series.values)
+    if not present.any():
         raise WrongYearSpan("series holds no observed values")
-    utc = series.utc_hours[series.observed]
-    observed_values = series.values[series.observed]
+    utc = series.utc_hours[present]
+    observed_values = series.values[present]
     walls = utc + series.offsets_table(utc).at(utc)
 
     year, last = years_of(np.array([walls.min(), walls.max()])).tolist()
     if year != last:
         raise WrongYearSpan(f"series spans several years: {np.unique(years_of(walls)).tolist()}")
-    if series.year is not None and series.year != year:
-        raise WrongYearSpan(f"series labeled {series.year} but data lie in {year}")
     if not 1 <= year <= 9999:  # the years a datetime.date can hold
         raise WrongYearSpan(f"data lie in year {year}, outside 1..9999")
 

@@ -55,19 +55,21 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 
 
 def series_to_long_csv(series: PriceSeries) -> str:
-    """Canonical long format: ISO-8601 timestamps with offset, one per hour.
+    """Canonical long format: ISO-8601 timestamps with offset, one per
+    present (non-NaN) entry, since the format has no blank price.
 
     Stamps are wall time in the series' zone with that zone's offset.
     """
-    offsets = series.utc_offsets()
-    walls = (series.utc_hours + offsets).astype("datetime64[h]")
+    present = ~np.isnan(series.values)
+    offsets = series.utc_offsets()[present]
+    walls = (series.utc_hours[present] + offsets).astype("datetime64[h]")
     suffix = {o: f"{'-' if o < 0 else '+'}{abs(o):02d}:00" for o in set(offsets.tolist())}
     rows = [
         f"{stamp}{suffix[o]},{value:.6f}\n"
         for stamp, o, value in zip(
             np.datetime_as_string(walls, unit="s").tolist(),
             offsets.tolist(),
-            series.values.tolist(),
+            series.values[present].tolist(),
         )
     ]
     return "timestamp,price\n" + "".join(rows)

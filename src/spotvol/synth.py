@@ -185,13 +185,10 @@ def generate(spec: SynthSpec) -> PriceSeries:
     if not np.all(np.isfinite(values)):
         raise InvalidSpec("profiles and noise sum to non-finite prices")
 
-    n = 24 * n_days
     return PriceSeries(
-        utc_hours=epoch_hour(date(spec.year, 1, 1)) + np.arange(n),
+        utc_hours=epoch_hour(date(spec.year, 1, 1)) + np.arange(24 * n_days),
         values=values.ravel(order="F"),
-        observed=np.ones(n, dtype=bool),
         market_label=f"synthetic-{spec.year}",
-        year=spec.year,
         zone="UTC",
     )
 

@@ -1,5 +1,6 @@
 """Parsing and calendarization: formats, DST handling, gaps, manifests."""
 
+import dataclasses
 import io
 from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
@@ -38,7 +39,7 @@ def test_long_row_with_offset():
     # 13:00 at +02:00 is 11:00 UTC and 13:00 Berlin wall time
     assert series.utc_hours[0] == epoch_hours("2016-07-01T11")
     assert series.utc_hours[0] + series.utc_offsets()[0] == epoch_hours("2016-07-01T13")
-    assert series.observed.tolist() == [True]
+    assert (~np.isnan(series.values)).tolist() == [True]
 
 
 def test_long_accepts_negative_and_zero_prices():
@@ -57,7 +58,6 @@ def test_long_accepts_z_suffix_and_sorts():
         "2016-07-01T13:00Z,1.0\n"
     )
     assert list(series.values) == [1.0, 2.0]
-    assert series.year == 2016
 
 
 def test_long_rejects_bad_header():
@@ -288,8 +288,8 @@ def test_wide_spring_forward_day_has_23_observed_one_missing():
     cells = ["10.0"] * 24
     cells[2] = ""
     series = parse(f"{WIDE_HEADER}\n2016-03-27,{','.join(cells)}\n", format="wide")
-    assert int(series.observed.sum()) == 23
-    assert int((~series.observed).sum()) == 1
+    assert int((~np.isnan(series.values)).sum()) == 23
+    assert int(np.isnan(series.values).sum()) == 1
 
 
 def test_wide_value_in_nonexistent_hour_rejected():
@@ -344,11 +344,30 @@ def test_wide_rows_follow_one_cell_rule(line, text, outcome):
     if isinstance(outcome, list):
         series = parse(body, format="wide", zone="UTC")
         assert np.array_equal(series.values, outcome, equal_nan=True)
-        assert series.observed.tolist() == [not np.isnan(v) for v in outcome]
     else:
         with pytest.raises(MalformedRow) as info:
             parse(body, format="wide", zone="UTC")
         assert info.value.line_number == line and outcome in info.value.reason
+
+
+def test_wide_year_with_blank_cells_round_trips_through_long_csv():
+    # a Berlin leap year with its spring-forward hour, a last hour of the
+    # day, a three-hour run and the year's last hour blank
+    days = np.arange(np.datetime64("2016-01-01"), np.datetime64("2017-01-01"))
+    prices = np.round(np.random.default_rng(1).normal(40.0, 15.0, (days.size, 24)), 2)
+    cells = prices.astype(str)
+    for d, h in [(86, 2), (9, 23), (99, 0), (99, 1), (99, 2), (365, 23)]:
+        cells[d, h] = ""
+    text = "\n".join([WIDE_HEADER, *(f"{day},{','.join(row)}" for day, row in zip(days, cells))])
+    wide = parse(text, format="wide")
+    long = parse(sv.series_to_long_csv(wide))
+    present = ~np.isnan(wide.values)
+    assert np.array_equal(long.utc_hours, wide.utc_hours[present])
+    assert np.array_equal(long.values, wide.values[present])
+    a, b = sv.calendarize(wide), sv.calendarize(long)
+    assert np.array_equal(a.values, b.values) and np.array_equal(a.imputed, b.imputed)
+    assert a.manifest == b.manifest
+    assert (a.manifest["n_dst_spring_filled"], a.manifest["gap_hours_filled"]) == (1, 5)
 
 
 def test_calendarize_full_berlin_year():
@@ -439,7 +458,7 @@ def test_flatten_round_trip():
 
 
 def test_unknown_zone_of_a_built_series_is_an_input_error():
-    series = sv.PriceSeries([0], [1.0], [True], zone="Mars/Olympus")
+    series = sv.PriceSeries([0], [1.0], zone="Mars/Olympus")
     with pytest.raises(sv.InputError, match="unknown time zone 'Mars/Olympus'"):
         sv.calendarize(series)
 
@@ -464,13 +483,10 @@ def test_wrong_year_span():
         sv.calendarize(parse(text, zone="UTC"))
 
 
-def test_series_over_several_years_is_unlabeled_and_names_every_year():
+def test_series_over_several_years_names_every_year():
     rows = ["timestamp,price", "2015-06-01T00:00Z,1.0", "2016-06-01T00:00Z,2.0", "2017-06-01T00:00Z,3.0"]
-    assert parse("\n".join(rows[:3]), zone="UTC").year is None
-    series = parse("\n".join(rows), zone="UTC")
-    assert series.year is None
     with pytest.raises(WrongYearSpan) as info:
-        sv.calendarize(series)
+        sv.calendarize(parse("\n".join(rows), zone="UTC"))
     assert str(info.value) == "series spans several years: [2015, 2016, 2017]"
 
 
@@ -522,11 +538,11 @@ def test_a_parsed_year_probes_its_zone_once(monkeypatch):
     assert probed == ["Europe/Berlin", "UTC"]
 
 
-def utc_year_series(extra=(), **kwargs):
+def utc_year_series(extra=()):
     """A hand-built UTC PriceSeries of every hour of 2016, plus extra instants."""
     start = epoch_hours("2016-01-01T00")
     hours = np.sort(np.r_[np.arange(start, start + 8784), np.asarray(extra, dtype=np.int64)])
-    return sv.PriceSeries(hours, np.ones(hours.size), np.ones(hours.size, bool), zone="UTC", **kwargs)
+    return sv.PriceSeries(hours, np.ones(hours.size), zone="UTC")
 
 
 def test_instant_given_twice_in_a_built_series_rejected():
@@ -538,10 +554,33 @@ def test_instant_given_twice_in_a_built_series_rejected():
     )
 
 
-def test_built_series_labeled_with_another_year_rejected():
-    with pytest.raises(WrongYearSpan) as info:
-        sv.calendarize(utc_year_series(year=2015))
-    assert str(info.value) == "series labeled 2015 but data lie in 2016"
+def test_nan_in_a_built_series_is_an_absent_hour_filled_as_a_gap():
+    # an absent entry does not count toward the year: here the one before it
+    series = utc_year_series([epoch_hours("2015-12-31T23")])
+    series.values[[0, 6, 7, 8, 101]] = np.nan
+    series.values[9] = 4.0  # the right neighbour of the three-hour run
+    matrix = sv.calendarize(series)
+    flat = matrix.values.ravel(order="F")
+    assert np.flatnonzero(matrix.imputed.ravel(order="F")).tolist() == [5, 6, 7, 100]
+    assert flat[5:8].tolist() == [1.75, 2.5, 3.25] and flat[100] == 1.0
+    m = matrix.manifest
+    assert (m["n_imputed"], m["gap_hours_filled"], m["n_dst_spring_filled"]) == (4, 4, 0)
+    with pytest.raises(GapTooLong):
+        sv.calendarize(series, gap_limit=2)
+
+
+def test_price_series_is_built_from_instants_prices_label_and_zone():
+    init = [f.name for f in dataclasses.fields(sv.PriceSeries) if f.init]
+    assert init == ["utc_hours", "values", "market_label", "zone"]
+    # label and zone are keyword-only, so a third positional array is refused
+    with pytest.raises(TypeError):
+        sv.PriceSeries([0, 1], [1.0, 2.0], np.ones(2, bool))
+    with pytest.raises(TypeError):
+        sv.PriceSeries([0], [1.0], zone_offsets=None)
+    series = sv.PriceSeries([0], [1.0], market_label="m", zone="UTC")
+    assert (series.market_label, series.zone, series.zone_offsets) == ("m", "UTC", None)
+    with pytest.raises(ValueError, match="equal length"):
+        sv.PriceSeries([0, 1], [1.0])
 
 
 def test_calendarize_deterministic():

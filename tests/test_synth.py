@@ -32,8 +32,7 @@ def test_series_length_and_flags():
         series = sv.generate(rank2_spec(year=year))
         assert len(series) == n
         assert series.zone == "UTC"
-        assert series.observed.all()
-        assert series.year == year
+        assert not np.isnan(series.values).any()
 
 
 def test_deterministic_per_seed_distinct_across_seeds():
