@@ -119,13 +119,12 @@ class PriceSeries:
         """The market zone's UTC offset in hours at each entry."""
         return self.offsets_table(self.utc_hours).at(self.utc_hours)
 
-    def offsets_table(self, hours: np.ndarray, margin: int = 0) -> ZoneOffsets:
-        """A table of the zone's offsets, exact from ``margin`` days before
-        the first of ``hours`` to ``margin`` (at most 2) days after the
-        last: the kept one if it is, else a new one built over ``hours``,
-        which is kept from then on."""
+    def offsets_table(self, hours: np.ndarray) -> ZoneOffsets:
+        """A table of the zone's offsets that covers ``hours`` (see
+        ZoneOffsets.covers): the kept one if it does, else a new one built
+        over ``hours``, which is kept from then on."""
         table = self.zone_offsets
-        if table is None or table.zone != self.zone or not table.covers(hours, margin):
+        if table is None or table.zone != self.zone or not table.covers(hours):
             table = self.zone_offsets = ZoneOffsets(self.zone, hours)
         return table
 
@@ -202,14 +201,6 @@ def _is_long_header(line: str) -> bool:
     return [h.lower() for h in _split_csv_line(line)] == ["timestamp", "price"]
 
 
-def _parse_long(lines: list[str]):
-    """Stamp hours as written, their UTC offsets (_NAIVE for wall time),
-    prices and line numbers of the data rows, in file order."""
-    if not _is_long_header(lines[0]):
-        raise MalformedRow(1, f"expected header 'timestamp,price', got {lines[0]!r}")
-    return _parse_rows(lines[1:])
-
-
 # A canonical row up to its price, naive and with an offset, in its two
 # spellings ("T" or space, "+" or "-"); "#" stands for a digit.
 _STAMPS = [
@@ -225,11 +216,11 @@ _LONGEST_ROW = _STAMPS[1][0].size + len(f"{-sys.float_info.max:.6f}")
 
 
 def _canonical_long(text: str):
-    """_parse_long's result on ``text.splitlines()`` in one numpy pass over
+    """_parse_rows's result on ``text.splitlines()`` in one numpy pass over
     the bytes, or None unless the header is one line and every data row is
     ``YYYY-MM-DD{T| }HH:00:00[±HH:00],<price>`` in the first row's stamp
     form (naive or with an offset), naming a real hour and a finite price.
-    Never raises: every other text goes to _parse_long."""
+    Never raises: every other text goes to _parse_rows."""
     if not text.isascii() or "\0" in text:
         return None
     data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
@@ -277,11 +268,14 @@ def _canonical_long(text: str):
     return hours.astype(np.int64), offsets, values, np.arange(2, len(m) + 2)
 
 
-def _parse_rows(body: list[str]):
-    """_parse_long's result row by row, data lines numbered from 2; the one
-    parser of odd but valid rows and of every row error."""
+def _parse_rows(lines: list[str]):
+    """Stamp hours as written, their UTC offsets (_NAIVE for wall time),
+    prices and line numbers of the data rows of a long file's lines, in
+    file order; the one parser of odd but valid rows and of every row error."""
+    if not _is_long_header(lines[0]):
+        raise MalformedRow(1, f"expected header 'timestamp,price', got {lines[0]!r}")
     fields, offsets, values, line_nos = [], [], [], []
-    for line_no, line in enumerate(body, start=2):
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         cells = _split_csv_line(line)
@@ -297,7 +291,7 @@ def _parse_rows(body: list[str]):
 
 
 def _parse_wide(lines: list[str]):
-    """As _parse_long, one entry per cell; empty cells hold NaN."""
+    """As _parse_rows, one entry per cell; empty cells hold NaN."""
     header = [h.lower() for h in _split_csv_line(lines[0])]
     expected = ["date"] + [f"h{i}" for i in range(1, 25)]
     if header != expected:
@@ -348,7 +342,7 @@ def parse_price_csv(source, format: str = "long", zone: str = DEFAULT_ZONE) -> P
         lines = text.splitlines()
         if not lines or not lines[0].strip():
             raise EmptyInput("no header row")
-        parsed = (_parse_long if format == "long" else _parse_wide)(lines)
+        parsed = (_parse_rows if format == "long" else _parse_wide)(lines)
     fields, offsets, values, line_nos = parsed
     present = ~np.isnan(values)
     offsets_in_zone = ZoneOffsets(zone, fields)
@@ -423,8 +417,7 @@ def calendarize(
     n = HOURS_PER_DAY * n_days
     start = epoch_hour(jan1)
     grid = start + np.arange(n)
-    # resolve brackets each wall hour by 26 hours, so it reads two days either side
-    fold0, fold1, skipped = series.offsets_table(grid, margin=2).resolve(grid)
+    fold0, fold1, skipped = series.offsets_table(grid).resolve(grid)
 
     # observations by temporal slot d * 24 + h, in series order per slot
     slots = walls - start

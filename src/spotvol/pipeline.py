@@ -352,6 +352,8 @@ def assemble_report(config: RunConfig, report_dir) -> dict:
     failed holds only a trend.json naming no year, which then also gives
     the config echo."""
     report_dir = Path(report_dir)
+    if not report_dir.is_dir():
+        raise InputError(f"{report_dir} is not a directory")
     previous = report_dir / "trend.json"
     doc = {"errors": []}
     if previous.exists():

@@ -73,16 +73,16 @@ def _offsets_at(tz: ZoneInfo, hours: np.ndarray) -> np.ndarray:
 class ZoneOffsets:
     """Whole-hour UTC offsets of a zone near the days some epoch hours touch.
 
-    The offset is probed at each UTC day start from two days before to two
-    days after every such day, and hourly on days where it changes, so
-    lookups are exact there: for instants and for the wall times of
-    ``hours``.  ``covers`` tells whether they are exact on other days.
+    The offset is probed at each UTC day start from three days before to
+    four days after every such day, and hourly on days where it changes.
+    ``covers`` tells for which hours lookups are exact: ``hours`` and any
+    within a day of them, as instants and as wall times.
     """
 
     def __init__(self, zone: str, hours: np.ndarray):
         self.zone = zone
         days = np.sort(np.asarray(hours, dtype=np.int64) // HOURS_PER_DAY)
-        near = np.sort(np.clip(days[changes(days), None] + np.arange(-2, 4), *_DAY_RANGE), axis=None)
+        near = np.sort(np.clip(days[changes(days), None] + np.arange(-3, 5), *_DAY_RANGE), axis=None)
         self._days = near[changes(near)]
         self._starts, self._offsets = self._probe(zone_info(zone), self._days)
 
@@ -100,16 +100,14 @@ class ZoneOffsets:
         keep = changes(offsets[order])
         return starts[order][keep], offsets[order][keep]
 
-    def covers(self, hours: np.ndarray, margin: int = 0) -> bool:
-        """Whether lookups are exact on every day from ``margin`` days before
-        the first of ``hours`` to ``margin`` days after the last: each of
-        those days and the one after it was probed."""
-        if not hours.size:
-            return True
-        lo = int(hours.min()) // HOURS_PER_DAY - margin
-        hi = int(hours.max()) // HOURS_PER_DAY + margin + 1
-        found = np.searchsorted(self._days, hi, side="right") - np.searchsorted(self._days, lo)
-        return int(found) == hi - lo + 1
+    def covers(self, hours: np.ndarray) -> bool:
+        """Whether lookups are exact for ``hours``, as instants and as wall
+        times: whether the days from two before to two after each of them
+        (what ``resolve`` reads), and the day after those, were probed."""
+        days = np.asarray(hours, dtype=np.int64) // HOURS_PER_DAY
+        days = days[changes(days)]
+        lo, end = (np.searchsorted(self._days, days + k) for k in (-2, 4))
+        return bool((end - lo == 6).all())
 
     def at(self, utc: np.ndarray) -> np.ndarray:
         """UTC offsets in hours at the given instants."""

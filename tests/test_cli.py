@@ -765,6 +765,20 @@ def test_synth_rejects_invalid_spec_values(tmp_path, capsys, mangle, message):
     assert not out.exists()
 
 
+def test_report_of_a_path_that_is_not_a_directory_names_it(tmp_path, capsys):
+    prices = tmp_path / "prices.csv"
+    prices.write_text("timestamp,price\n", encoding="utf-8")
+    for path in (tmp_path / "missing_dir", prices):
+        capsys.readouterr()
+        assert main(["report", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path} is not a directory\n"
+    assert not (tmp_path / "out").exists()
+    # an existing empty directory keeps its message
+    (tmp_path / "empty").mkdir()
+    assert main(["report", str(tmp_path / "empty")]) == 2
+    assert "no year_<Y>.json reports found in" in capsys.readouterr().err
+
+
 def test_report_refuses_a_run_whose_listed_year_report_is_gone(tmp_path, capsys):
     run = tmp_path / "run"
     _fake_year_reports(run)

@@ -17,7 +17,7 @@ from spotvol import (
     MalformedRow,
     WrongYearSpan,
 )
-from spotvol.ingest import _canonical_long, _parse_long
+from spotvol.ingest import _canonical_long, _parse_rows
 from spotvol.zones import ZoneOffsets
 from conftest import berlin_year_csv, rank2_spec
 
@@ -184,7 +184,7 @@ def test_offset_rows_off_the_calendar_take_the_row_parser(row, reason):
 def test_numpy_pass_takes_crlf_unterminated_and_padded_header(text, stamps):
     # one stamp form per body, each body spelling its date and hour both ways
     text = text.format(f"2016-03-01{stamps[0]},1.0", f"2016-03-01{stamps[1]},2.0")
-    fast, rows = _canonical_long(text), _parse_long(text.splitlines())
+    fast, rows = _canonical_long(text), _parse_rows(text.splitlines())
     assert fast is not None
     for a, b in zip(fast, rows):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -536,6 +536,28 @@ def test_a_parsed_year_probes_its_zone_once(monkeypatch):
     with pytest.raises(WrongYearSpan, match=r"\[2015, 2016\]"):
         sv.calendarize(series)
     assert probed == ["Europe/Berlin", "UTC"]
+
+
+@pytest.mark.parametrize("stamps", ["zone", "UTC"])
+@pytest.mark.parametrize("zone", ["Pacific/Kiritimati", "Pacific/Pago_Pago"])  # UTC+14, UTC-11
+def test_a_year_stamped_a_day_from_its_wall_dates_probes_its_zone_once(monkeypatch, zone, stamps):
+    tz = ZoneInfo(zone)
+    start, end = (int(datetime(y, 1, 1, tzinfo=tz).timestamp()) // 3600 for y in (2016, 2017))
+    hours = np.arange(start, end)
+    stamped_in = zone if stamps == "zone" else "UTC"
+    text = sv.series_to_long_csv(sv.PriceSeries(hours, 30.0 + hours % 7, zone=stamped_in))
+    probe, probed = ZoneOffsets._probe, []
+
+    def counted(tz, days):
+        probed.append(tz.key)
+        return probe(tz, days)
+
+    monkeypatch.setattr(ZoneOffsets, "_probe", staticmethod(counted))
+    series = parse(text, zone=zone)
+    matrix = sv.calendarize(series)
+    series.utc_offsets()
+    assert probed == [zone]
+    assert (matrix.year, matrix.manifest["n_imputed"]) == (2016, 0)
 
 
 def utc_year_series(extra=()):

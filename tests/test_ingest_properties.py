@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import spotvol as sv
 from spotvol import DstPolicy
 from spotvol.ingest import _canonical_long, _parse_rows
-from spotvol.zones import ZoneOffsets
+from spotvol.zones import _DAY_RANGE, ZoneOffsets
 from conftest import berlin_year_csv, rank2_spec
 
 POLICIES = [DstPolicy(s, f) for s in ("interpolate", "hold") for f in ("mean", "first", "last")]
@@ -139,6 +139,28 @@ def test_zone_table_kept_from_parsing_gives_the_result_of_a_new_one(
         assert result == outcome(rebuilt, 100_000)
 
 
+# the days whose neighbours, three before to four after, a table can probe
+FIRST_DAY, LAST_DAY = _DAY_RANGE[0] + 3, _DAY_RANGE[1] - 4
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    zone=st.sampled_from(["UTC", "Etc/GMT-14", "Etc/GMT+12"]),
+    first=st.integers(FIRST_DAY * 24, LAST_DAY * 24),
+    span=st.sampled_from([24, 24 * 40, 24 * 366, 24 * 40_000]),
+    data=st.data(),
+)
+def test_a_zone_table_covers_the_hours_it_was_built_over(zone, first, span, data):
+    last = min(first + span, LAST_DAY * 24 + 23)
+    hours = np.array(data.draw(st.lists(st.integers(first, last), min_size=1, max_size=30)))
+    table = ZoneOffsets(zone, hours)
+    # and hours a day away, such as the instants of wall times stamped with their offset
+    for shift in (-24, 0, 24):
+        assert table.covers(hours + shift)
+    one = ZoneOffsets(zone, hours[:1])
+    assert not one.covers(hours[:1] - 48) and not one.covers(hours[:1] + 48)
+
+
 @lru_cache(maxsize=None)
 def berlin_rows(year):
     """Data rows of a Berlin wall-clock year and the indices of the rows
@@ -202,7 +224,7 @@ def canonical_rows(draw):
        newline=st.sampled_from(["\n", "\r\n"]), final_newline=st.booleans())
 def test_numpy_pass_equals_the_row_parser_on_canonical_rows(body, newline, final_newline):
     text = newline.join(["timestamp,price", *body]) + (newline if final_newline else "")
-    fast, rows = _canonical_long(text), _parse_rows(body)
+    fast, rows = _canonical_long(text), _parse_rows(text.splitlines())
     # the numpy pass takes only a body in one stamp form: "," at 19 naive, 25 with an offset
     if len({row.index(",") for row in body}) > 1:
         assert fast is None

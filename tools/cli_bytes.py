@@ -60,9 +60,11 @@ COMMANDS = [
     # a spreadsheet export: byte-order mark and CRLF line ends
     ["ingest-check", "berlin_crlf_bom_2016.csv", "--zone", "Europe/Berlin"],
     # zone tables: a sparse year (not covered by the table parsing built), and
-    # a New York year stamped in UTC (covered although no stamp is a wall time)
+    # New York and Kiritimati (UTC+14) years stamped in UTC (covered although no
+    # stamp is a wall time, and Kiritimati's instants lie a day from their wall dates)
     ["ingest-check", "berlin_sparse_2016.csv", "--zone", "Europe/Berlin", "--gap-limit", "100000"],
     ["ingest-check", "new_york_utc_2016.csv", "--zone", "America/New_York"],
+    ["ingest-check", "kiritimati_utc_2016.csv", "--zone", "Pacific/Kiritimati"],
     # long files that only the row parser takes: "Z" stamps, a :30 stamp on line
     # 5000, and a naive Berlin year whose two fall-back rows carry their offsets
     ["ingest-check", "zulu_2016.csv", *UTC],
@@ -83,6 +85,7 @@ COMMANDS = [
     ["analyze-trend", *TRENDS, *UTC, "--permutations", "100", "--out", "trend_reused"],
     ["analyze-trend", *TRENDS[1:], *UTC, "--permutations", "100", "--out", "trend_reused"],
     ["report", "trend_reused"],
+    ["report", "missing_dir"],
 ]
 
 
@@ -180,9 +183,11 @@ def write_inputs(work: Path) -> None:
     rows[4998] = rows[4998].replace(":00:00,", ":30:00,")  # data row 4998 is line 5000
     sparse = sparse_rows(berlin_year_csv(2016))
     new_york = utc_stamped_rows(2016, "America/New_York")
+    kiritimati = utc_stamped_rows(2016, "Pacific/Kiritimati")
     for name, body in (("zulu_2016.csv", zulu), ("overflow_2016.csv", overflow),
                        ("half_hour_2016.csv", rows),
-                       ("berlin_sparse_2016.csv", sparse), ("new_york_utc_2016.csv", new_york)):
+                       ("berlin_sparse_2016.csv", sparse), ("new_york_utc_2016.csv", new_york),
+                       ("kiritimati_utc_2016.csv", kiritimati)):
         (work / name).write_text("\n".join(["timestamp,price", *body]) + "\n", encoding="utf-8")
 
 
