@@ -241,7 +241,8 @@ def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict]
     """Fit the trend and build the combined report; when out_dir is set,
     move the staged year files into it, then write trend.json, spectrum.csv
     and (when a trend was fitted) trend.csv.  Too few years leave "trend"
-    None; duplicate years raise before anything is moved or written."""
+    None.  Duplicate years, and a value JSON cannot hold, raise before
+    anything is moved or written; trend.json is the last file written."""
     try:
         trend_report = trend_from_year_reports(year_reports)
     except DegenerateDesign:
@@ -254,6 +255,7 @@ def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict]
         "year_files": {str(r["year"]): f"year_{r['year']}.json" for r in year_reports},
     }
     if out_dir is not None:
+        text = reports.json_text(combined)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for path in staged:
@@ -261,7 +263,7 @@ def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict]
         if trend_report is not None:
             reports.write_trend_csv(out / "trend.csv", trend_report)
         reports.write_spectrum_csv(out / "spectrum.csv", year_reports)
-        reports.write_json(out / "trend.json", combined)
+        (out / "trend.json").write_text(text, encoding="utf-8", newline="\n")
     return combined
 
 
@@ -344,29 +346,28 @@ def load_year_report(path) -> dict:
 
 def assemble_report(config: RunConfig, report_dir) -> dict:
     """Rebuild trend.json / trend.csv / spectrum.csv from the year reports
-    of a run directory, keeping the failed-year records of its trend.json
-    (a failed year leaves no year report).  With a trend.json, the year
-    reports are exactly those its year_files lists, each of which must be
-    there; any other year_<Y>.json is ignored.  Without one, every
-    year_<Y>.json in the directory is used.  A directory where every year
-    failed holds only a trend.json naming no year, which then also gives
-    the config echo."""
+    of a run directory.  A trend.json there, which must hold errors, config
+    and years, is the run's record: its config is echoed with its failed-year
+    records, and the year reports are exactly those its year_files lists,
+    each there and produced with that config (a failed year leaves none);
+    any other year_<Y>.json is ignored.  Without one, every year_<Y>.json
+    in the directory is used, the first giving the config."""
     report_dir = Path(report_dir)
     if not report_dir.is_dir():
         raise InputError(f"{report_dir} is not a directory")
     previous = report_dir / "trend.json"
-    doc = {"errors": []}
+    doc = None
     if previous.exists():
-        doc = reports.read_json(previous, "trend report", ("errors",))
-        errors, listed = doc["errors"], doc.get("year_files", {})
+        doc = reports.read_json(previous, "trend report", ("errors", "config", "years"))
+        listed = doc.get("year_files", {})
         for ok, problem in (
-            (isinstance(errors, list) and all(map(_error_record, errors)),
+            (isinstance(doc["errors"], list) and all(map(_error_record, doc["errors"])),
              "errors is not a list of records"),
             (isinstance(listed, dict)
              and all(name == f"year_{y}.json" for y, name in listed.items()),
              "year_files is not an object of year_<Y>.json names"),
-            (isinstance(doc.get("config", {}), dict), "config is not an object"),
-            (isinstance(doc.get("years", []), list), "years is not a list"),
+            (isinstance(doc["config"], dict), "config is not an object"),
+            (isinstance(doc["years"], list), "years is not a list"),
         ):
             if not ok:
                 raise InputError(f"{previous} is not a trend report ({problem})")
@@ -374,23 +375,17 @@ def assemble_report(config: RunConfig, report_dir) -> dict:
         for path in paths:
             if not path.exists():
                 raise InputError(f"year report {path.name!r} listed in {previous} is missing")
-        if not paths:
-            doc = reports.read_json(previous, "trend report", ("errors", "config", "years"))
     else:
         paths = sorted(report_dir.glob("year_*.json"))
+    # only a trend.json naming no year, that of a run where every input failed, lists none
+    if not paths and (doc is None or doc["years"]):
+        raise InputError(f"no year_<Y>.json reports found in {report_dir}")
     year_reports = [load_year_report(p) for p in paths]
-    # Echo the config the year reports were produced with, not the current
-    # invocation's, so the reassembled report matches the original run.
-    echo = year_reports[0]["config"] if year_reports else None
-    for path, rep in zip(paths[1:], year_reports[1:]):
+    # Echo the config the run was produced with, not the current invocation's,
+    # so the reassembled report matches the original run.
+    echo, source = (doc["config"], previous) if doc else (year_reports[0]["config"], paths[0])
+    for path, rep in zip(paths, year_reports):
         if rep["config"] != echo:
-            raise InputError(
-                f"{path} was produced with a different config than {paths[0].name}"
-            )
-    if not year_reports:
-        # only a run where every input failed leaves no year report to rebuild from
-        if "years" not in doc or doc["years"]:
-            raise InputError(f"no year_<Y>.json reports found in {report_dir}")
-        echo = doc["config"]
+            raise InputError(f"{path} was produced with a different config than {source.name}")
     out = report_dir if config.out_dir is None else config.out_dir
-    return _write_trend_report(echo, year_reports, doc["errors"], out)
+    return _write_trend_report(echo, year_reports, doc["errors"] if doc else [], out)

@@ -20,9 +20,12 @@ from .ingest import PriceSeries
 from .lowrank import RankPModel
 
 
+def json_text(obj) -> str:  # ValueError for a NaN or an infinity
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def write_json(path: Path, obj) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    Path(path).write_text(json_text(obj), encoding="utf-8", newline="\n")
 
 
 def read_json(path, kind: str, keys: tuple = ()) -> dict:

@@ -103,11 +103,12 @@ class ZoneOffsets:
     def covers(self, hours: np.ndarray) -> bool:
         """Whether lookups are exact for ``hours``, as instants and as wall
         times: whether the days from two before to two after each of them
-        (what ``resolve`` reads), and the day after those, were probed."""
+        (what ``resolve`` reads), and the day after those, were probed, as
+        far as the probed days reach (``_DAY_RANGE``)."""
         days = np.asarray(hours, dtype=np.int64) // HOURS_PER_DAY
-        days = days[changes(days)]
-        lo, end = (np.searchsorted(self._days, days + k) for k in (-2, 4))
-        return bool((end - lo == 6).all())
+        first, last = np.clip(days[changes(days)] + np.array([[-2], [3]]), *_DAY_RANGE)
+        lo, end = np.searchsorted(self._days, first), np.searchsorted(self._days, last, "right")
+        return bool((end - lo == last - first + 1).all())
 
     def at(self, utc: np.ndarray) -> np.ndarray:
         """UTC offsets in hours at the given instants."""

@@ -892,6 +892,55 @@ def test_report_refuses_year_reports_of_different_configs(tmp_path, capsys):
     assert not (run / "trend.json").exists()
 
 
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_report_takes_the_config_echo_from_trend_json(tmp_path, capsys):
+    run = tmp_path / "run"
+    _fake_year_reports(run)
+    assert main(["report", str(run)]) == 0
+    fitted = json.loads((run / "trend.json").read_text(encoding="utf-8"))
+    capsys.readouterr()
+    # trend.json is the run's record: a config the year reports lack is not repaired from them
+    fitted["config"]["rank"] = 3
+    for doc, message in (
+        (fitted, f"{run / 'year_2014.json'} was produced with a different config than trend.json"),
+        ({k: v for k, v in fitted.items() if k != "config"},
+         f"{run / 'trend.json'} is not a trend report (missing 'config')"),
+    ):
+        (run / "trend.json").write_text(json.dumps(doc), encoding="utf-8")
+        before = _files(run)
+        assert main(["report", str(run)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert _files(run) == before
+
+
+def test_report_writes_nothing_when_the_report_cannot_be_serialized(tmp_path, capsys):
+    # three year reports whose config holds a NaN, and no trend.json
+    run = tmp_path / "run"
+    _fake_year_reports(run)
+    for path in run.iterdir():
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["config"]["trim_quantile"] = float("nan")
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    # a trend.json whose first error record has a NaN "error"
+    failed = tmp_path / "failed"
+    _fake_year_reports(failed)
+    doc = {"config": RunConfig().echo(), "years": [2014, 2015, 2016], "trend": None,
+           "year_files": {str(y): f"year_{y}.json" for y in (2014, 2015, 2016)},
+           "errors": [{"input": "bad.csv", "stage": "ingest", "error": float("nan"),
+                       "category": "input", "message": "line 2: bad price"}]}
+    (failed / "trend.json").write_text(json.dumps(doc), encoding="utf-8")
+    for directory in (run, failed):
+        before = _files(directory)
+        capsys.readouterr()
+        assert main(["report", str(directory)]) == 2
+        assert capsys.readouterr().err == (
+            "error: Out of range float values are not JSON compliant: nan\n")
+        assert _files(directory) == before
+
+
 def test_year_outside_datetime_range_is_a_calendarize_error(tmp_path):
     far = tmp_path / "far.csv"
     far.write_text("timestamp,price\n9999-12-31T23:00:00-01:00,5.0\n", encoding="utf-8")

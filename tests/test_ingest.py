@@ -538,6 +538,22 @@ def test_a_parsed_year_probes_its_zone_once(monkeypatch):
     assert probed == ["Europe/Berlin", "UTC"]
 
 
+@pytest.mark.parametrize("first", [np.datetime64("0001-01-01T00", "h"),
+                                   np.datetime64("9999-12-30T00", "h")])
+def test_hours_at_the_ends_of_datetime_probe_their_zone_once(monkeypatch, first):
+    probe, probed = ZoneOffsets._probe, []
+
+    def counted(tz, days):
+        probed.append(tz.key)
+        return probe(tz, days)
+
+    monkeypatch.setattr(ZoneOffsets, "_probe", staticmethod(counted))
+    series = sv.PriceSeries(first.astype(np.int64) + np.arange(48), np.ones(48), zone="UTC")
+    for _ in range(3):
+        assert (series.utc_offsets() == 0).all()
+    assert probed == ["UTC"]
+
+
 @pytest.mark.parametrize("stamps", ["zone", "UTC"])
 @pytest.mark.parametrize("zone", ["Pacific/Kiritimati", "Pacific/Pago_Pago"])  # UTC+14, UTC-11
 def test_a_year_stamped_a_day_from_its_wall_dates_probes_its_zone_once(monkeypatch, zone, stamps):

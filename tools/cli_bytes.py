@@ -78,7 +78,7 @@ COMMANDS = [
     ["ingest-check", "berlin_wide_2016.csv", *WIDE],
     ["analyze-year", "berlin_wide_2016.csv", *WIDE, "--permutations", "200", "--out", "year_wide"],
     ["report", "trend_jobs1", "--out", "report_out"],
-    # in place, on a copy of a run with a failed year (made just before)
+    # in place, on a copy of a run with a failed year
     ["report", "report_in_place"],
     # a second run of fewer years into the first run's --out: report rebuilds
     # the second run, not the first run's year_2013.json left beside it
@@ -86,7 +86,33 @@ COMMANDS = [
     ["analyze-trend", *TRENDS[1:], *UTC, "--permutations", "100", "--out", "trend_reused"],
     ["report", "trend_reused"],
     ["report", "missing_dir"],
+    # trend.json is the run's record: a config the year reports lack is refused,
+    # and a value JSON cannot hold fails before any file is written
+    ["report", "report_rank_3"],
+    ["report", "report_nan_error"],
 ]
+
+
+def edit_trend_json(run: Path, edit) -> None:
+    doc = json.loads((run / "trend.json").read_text(encoding="utf-8"))
+    edit(doc)
+    (run / "trend.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                                    encoding="utf-8")
+
+
+def nan_error(run: Path) -> None:
+    for name in ("trend.csv", "spectrum.csv"):
+        (run / name).unlink()
+    edit_trend_json(run, lambda doc: doc["errors"][0].update(error=math.nan))
+
+
+# report directories made just before their command: a copy of a run, then an edit
+COPIES = {
+    "report_in_place": ("trend_malformed", lambda run: None),
+    "report_rank_3": ("trend_jobs1", lambda run: edit_trend_json(
+        run, lambda doc: doc["config"].update(rank=3))),
+    "report_nan_error": ("trend_malformed", nan_error),
+}
 
 
 def spec(year: int) -> dict:
@@ -219,8 +245,10 @@ def manifest(src: Path) -> dict:
         write_inputs(work)
         commands = []
         for argv in COMMANDS:
-            if argv == ["report", "report_in_place"]:
-                shutil.copytree(work / "trend_malformed", work / "report_in_place")
+            if argv[0] == "report" and argv[1] in COPIES:
+                source, edit = COPIES[argv[1]]
+                shutil.copytree(work / source, work / argv[1])
+                edit(work / argv[1])
             commands.append(run(argv, work, env))
         files = {
             path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
