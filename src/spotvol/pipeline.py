@@ -195,6 +195,8 @@ def analyze_year(config: RunConfig, year_input) -> dict:
 
     if config.out_dir is not None:
         out = Path(config.out_dir)
+        # a value JSON cannot hold fails here, before any file is written
+        reports.json_text(report, out / f"year_{year}.json")
         reports.write_spectrum_csv(out / file_names["spectrum"], [report])
         reports.write_profiles_csv(out / file_names["profiles"], model)
         reports.write_amplitudes_csv(out / file_names["amplitudes"], model)
@@ -255,8 +257,8 @@ def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict]
         "year_files": {str(r["year"]): f"year_{r['year']}.json" for r in year_reports},
     }
     if out_dir is not None:
-        text = reports.json_text(combined)
         out = Path(out_dir)
+        text = reports.json_text(combined, out / "trend.json")
         out.mkdir(parents=True, exist_ok=True)
         for path in staged:
             os.replace(path, out / path.name)

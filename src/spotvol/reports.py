@@ -10,6 +10,7 @@ cell is its str (an int, a float's shortest repr, or "" when absent).
 from __future__ import annotations
 
 import json
+import math
 from operator import itemgetter
 from pathlib import Path
 
@@ -20,12 +21,35 @@ from .ingest import PriceSeries
 from .lowrank import RankPModel
 
 
-def json_text(obj) -> str:  # ValueError for a NaN or an infinity
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def json_text(obj, path) -> str:
+    """The text write_json writes to path; a ValueError naming the file and
+    the field when obj holds a NaN or an infinity, which JSON cannot hold."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        for where, value in _nonfinite_fields(obj):
+            raise ValueError(
+                f"cannot write {Path(path).name}: {where} is {value!r}, which JSON cannot hold"
+            ) from None
+        raise
+
+
+def _nonfinite_fields(obj):
+    # (dotted field, value) of each NaN or infinity in obj, in the order json_text writes them
+    stack = [("", obj)]
+    while stack:
+        where, node = stack.pop()
+        if isinstance(node, float) and not math.isfinite(node):
+            yield where, node
+        elif isinstance(node, dict):
+            stack.extend((f"{where}.{k}" if where else str(k), v)
+                         for k, v in sorted(node.items(), reverse=True))
+        elif isinstance(node, (list, tuple)):
+            stack.extend((f"{where}[{i}]", v) for i, v in reversed(list(enumerate(node))))
 
 
 def write_json(path: Path, obj) -> None:
-    Path(path).write_text(json_text(obj), encoding="utf-8", newline="\n")
+    Path(path).write_text(json_text(obj, path), encoding="utf-8", newline="\n")
 
 
 def read_json(path, kind: str, keys: tuple = ()) -> dict:
@@ -35,7 +59,7 @@ def read_json(path, kind: str, keys: tuple = ()) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # nested too deep
         raise InputError(f"cannot read {kind} {path}: {exc}") from exc
     for key in keys:
         node = doc

@@ -57,13 +57,12 @@ def _abs_and_weights(residuals: ResidualSeries | np.ndarray) -> tuple[np.ndarray
 
 
 @functools.lru_cache(maxsize=2)
-def _seeded_states(seed: int, n_permutations: int) -> tuple[tuple[int, int], ...]:
-    """PCG64 (state, inc) that default_rng((seed, i)) starts from, for each
-    draw i.  Hashing (seed, i) is most of the GIL-held work of a draw, and
-    the years of a run share one (seed, n_permutations); a key holds
-    ~150 bytes a draw."""
-    starts = (np.random.PCG64((seed, i)).state["state"] for i in range(n_permutations))
-    return tuple((start["state"], start["inc"]) for start in starts)
+def _seeded_states(seed: int, n_permutations: int) -> tuple[dict, ...]:
+    """PCG64((seed, i)).state, the state default_rng((seed, i)) starts from,
+    for each draw i.  Hashing (seed, i) is most of the GIL-held work of a
+    draw, and the years of a run share one (seed, n_permutations); a key
+    holds ~460 bytes a draw.  The dicts are only read."""
+    return tuple(np.random.PCG64((seed, i)).state for i in range(n_permutations))
 
 
 def usable_cores() -> int:
@@ -76,30 +75,30 @@ def usable_cores() -> int:
 def null_samples(r: np.ndarray, w: np.ndarray, seed: int, n: int, workers: int) -> np.ndarray:
     """r[default_rng((seed, i)).permutation(r.size)] @ w for i < n, bit for bit.
 
-    The indices run in contiguous chunks on `workers` threads; numpy's
+    Thread k of min(workers, n) takes the draws k, k + threads, ...; numpy's
     shuffle releases the GIL, and the samples do not depend on the thread
     count.  Each draw's seeded starting state is computed once per
     (seed, n) in a process and reused.  r is not modified.
     """
     samples = np.empty(n)
     states = _seeded_states(seed, n)
+    threads = min(workers, n)
 
-    def fill(indices: range) -> None:
-        # one generator per chunk, reset to draw i's seeded state: the stream
-        # of default_rng((seed, i)).  permutation(r) shuffles a copy of r with
+    def fill(k: int) -> None:
+        # one generator and one buffer per thread.  A draw resets the generator
+        # to default_rng((seed, i))'s start and shuffles a fresh copy of r with
         # the same draws that permutation(r.size) shuffles the index vector with
         bits = np.random.PCG64()
         rng = np.random.Generator(bits)
-        for i in indices:
-            state, inc = states[i]
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            samples[i] = rng.permutation(r) @ w
+        buf = np.empty_like(r)
+        for i in range(k, n, threads):
+            bits.state = states[i]
+            buf[...] = r
+            rng.shuffle(buf)
+            samples[i] = buf @ w
 
-    chunks = min(workers, n)
-    bounds = [n * k // chunks for k in range(chunks + 1)]
-    with ThreadPoolExecutor(max_workers=chunks) as pool:
-        list(pool.map(fill, map(range, bounds[:-1], bounds[1:])))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, range(threads)))
     return samples
 
 

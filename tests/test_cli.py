@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -932,13 +933,40 @@ def test_report_writes_nothing_when_the_report_cannot_be_serialized(tmp_path, ca
            "errors": [{"input": "bad.csv", "stage": "ingest", "error": float("nan"),
                        "category": "input", "message": "line 2: bad price"}]}
     (failed / "trend.json").write_text(json.dumps(doc), encoding="utf-8")
-    for directory in (run, failed):
+    for directory, field in ((run, "config.trim_quantile"), (failed, "errors[0].error")):
         before = _files(directory)
         capsys.readouterr()
         assert main(["report", str(directory)]) == 2
         assert capsys.readouterr().err == (
-            "error: Out of range float values are not JSON compliant: nan\n")
+            f"error: cannot write trend.json: {field} is nan, which JSON cannot hold\n")
         assert _files(directory) == before
+
+
+def test_report_of_a_too_deeply_nested_trend_report_is_an_input_error(tmp_path, capsys):
+    run = tmp_path / "run"
+    _fake_year_reports(run)
+    deep = "[" * 100_000 + "]" * 100_000
+    (run / "trend.json").write_text(
+        f'{{"config": {deep}, "years": [], "errors": []}}', encoding="utf-8")
+    before = _files(run)
+    assert main(["report", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read trend report {run / 'trend.json'}: maximum recursion")
+    assert err.count("\n") == 1
+    assert _files(run) == before
+
+
+def test_a_year_report_json_cannot_hold_leaves_out_empty(tmp_path, capsys, monkeypatch):
+    analyze = sv.pipeline.residual_stats.analyze_residuals
+    monkeypatch.setattr(sv.pipeline.residual_stats, "analyze_residuals",
+                        lambda *args, **kw: replace(analyze(*args, **kw), mean_all=float("nan")))
+    out = tmp_path / "out"
+    code = main(["analyze-year", str(make_year_csv(tmp_path)), "--zone", "UTC",
+                 "--permutations", "100", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write year_2016.json: residuals.mean_all is nan, which JSON cannot hold\n")
+    assert not list(out.iterdir())
 
 
 def test_year_outside_datetime_range_is_a_calendarize_error(tmp_path):

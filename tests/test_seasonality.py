@@ -158,16 +158,23 @@ def test_samples_match_reference_in_every_cache_state():
     assert cache.cache_info().misses == 1  # warm
     # a call reads the cached states and leaves them as PCG64 seeds them
     assert cache(4, n) is states
-    assert states == tuple(
-        (start["state"], start["inc"])
-        for start in (np.random.PCG64((4, i)).state["state"] for i in range(n))
-    )
+    assert states == tuple(np.random.PCG64((4, i)).state for i in range(n))
     for seed in range(10, 11 + cache.cache_info().maxsize):
         check(seed)
     misses = cache.cache_info().misses
     check(4)
     assert cache.cache_info().misses == misses + 1  # evicted, seeded again
     check(2**40 + 3)
+
+
+@pytest.mark.parametrize("seed", [2**32, 2**40 + 3, 2**64 + 7])
+def test_seeded_states_match_numpy_for_multi_word_seeds(seed):
+    n = 101
+    fresh = tuple(np.random.PCG64((seed, i)).state for i in range(n))
+    assert seasonality._seeded_states(seed, n) == fresh
+    # the draws only read the cached states
+    sv.permutation_test(np.arange(500.0), n, seed=seed, workers=3)
+    assert seasonality._seeded_states(seed, n) == fresh
 
 
 @pytest.mark.parametrize("seed, n, workers", [

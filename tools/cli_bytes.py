@@ -90,6 +90,8 @@ COMMANDS = [
     # and a value JSON cannot hold fails before any file is written
     ["report", "report_rank_3"],
     ["report", "report_nan_error"],
+    # a trend.json nested deeper than the JSON reader recurses is an input error
+    ["report", "report_deep_config"],
 ]
 
 
@@ -106,12 +108,19 @@ def nan_error(run: Path) -> None:
     edit_trend_json(run, lambda doc: doc["errors"][0].update(error=math.nan))
 
 
+def deep_config(run: Path) -> None:
+    deep = "[" * 100_000 + "]" * 100_000
+    (run / "trend.json").write_text(f'{{"config": {deep}, "errors": [], "years": []}}\n',
+                                    encoding="utf-8")
+
+
 # report directories made just before their command: a copy of a run, then an edit
 COPIES = {
     "report_in_place": ("trend_malformed", lambda run: None),
     "report_rank_3": ("trend_jobs1", lambda run: edit_trend_json(
         run, lambda doc: doc["config"].update(rank=3))),
     "report_nan_error": ("trend_malformed", nan_error),
+    "report_deep_config": ("trend_jobs1", deep_config),
 }
 
 
