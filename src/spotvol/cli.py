@@ -152,10 +152,8 @@ def _print_trend(combined: dict) -> None:
             f" ci95=({fit['ci95'][0]:.4f}, {fit['ci95'][1]:.4f})"
         )
     for record in combined["errors"]:
-        print(
-            f"failed: {record['input']} [{record['stage']}] {record['message']}",
-            file=sys.stderr,
-        )
+        stage = f" [{record['stage']}]" if record["stage"] else ""
+        print(f"failed: {record['input']}{stage} {record['message']}", file=sys.stderr)
 
 
 def _cmd_analyze_trend(args) -> int:

@@ -12,7 +12,6 @@ work runs in numpy.
 from __future__ import annotations
 
 import calendar
-import io
 import sys
 from dataclasses import KW_ONLY, dataclass, field
 from datetime import date, datetime, timedelta
@@ -46,6 +45,8 @@ FORMATS = ("long", "wide")
 
 _HOUR = timedelta(hours=1)
 _NAIVE = 99  # offset of a naive (wall-time) stamp; real ones lie within +-24 h
+_LONG_HEADER = ["timestamp", "price"]
+_WIDE_HEADER = ["date"] + [f"h{i}" for i in range(1, 25)]
 
 
 def days_in_year(year: int) -> int:
@@ -154,10 +155,10 @@ def _read_text(source) -> str:
             raise InputError(f"cannot read {source}: {exc}") from exc
     elif isinstance(source, bytes):
         data = source
-    elif isinstance(source, io.TextIOBase):
-        return source.read().removeprefix("\ufeff")
     elif hasattr(source, "read"):
         data = source.read()
+        if isinstance(data, str):  # a text reader, which decoded the file itself
+            return data.removeprefix("\ufeff")
     else:
         raise TypeError(f"cannot read from {type(source).__name__}")
     try:
@@ -197,8 +198,17 @@ def _split_csv_line(line: str) -> list[str]:
     return [cell.strip() for cell in line.split(",")]
 
 
-def _is_long_header(line: str) -> bool:
-    return [h.lower() for h in _split_csv_line(line)] == ["timestamp", "price"]
+def _rows(lines: list[str], header: list[str], bad_header: str):
+    """Line number and cells of each non-blank data row of a CSV's lines; a
+    MalformedRow for a header other than ``header`` or a row of another width."""
+    if _split_csv_line(lines[0].lower()) != header:
+        raise MalformedRow(1, bad_header)
+    for line_no, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            cells = _split_csv_line(line)
+            if len(cells) != len(header):
+                raise MalformedRow(line_no, f"expected {len(header)} fields, got {len(cells)}")
+            yield line_no, cells
 
 
 # A canonical row up to its price, naive and with an offset, in its two
@@ -213,6 +223,7 @@ _STAMPS = [
 _PRICE_BYTES = np.zeros(256, dtype=bool)
 _PRICE_BYTES[[0, *b"0123456789+-.eE"]] = True  # 0 pads a short row
 _LONGEST_ROW = _STAMPS[1][0].size + len(f"{-sys.float_info.max:.6f}")
+_PAIRS = np.array([0, 2, 5, 8, 11, 20])  # century, year, month, day, hour, offset hours
 
 
 def _canonical_long(text: str):
@@ -230,7 +241,7 @@ def _canonical_long(text: str):
     if stops.size < 2:  # no data row
         return None
     header = text[:stops[0]].removesuffix("\r")
-    if header.splitlines() != [header] or not _is_long_header(header):
+    if header.splitlines() != [header] or _split_csv_line(header.lower()) != _LONG_HEADER:
         return None
     starts, stops = feeds[:stops.size - 1] + 1, stops[1:]
     stops = stops - (data[stops - 1] == ord("\r"))
@@ -252,39 +263,38 @@ def _canonical_long(text: str):
         return None
     try:
         values = np.ascontiguousarray(m[:, width:]).view(f"S{longest - width}").ravel().astype(float)
-        # numpy's ISO reader refuses a month, day or hour that is not on the calendar
-        hours = np.ascontiguousarray(m[:, :13]).view("S13").ravel().astype("datetime64[h]")
-    except ValueError:  # a price that is no number, such as "1e" or "1.2.3", or no such hour
+    except ValueError:  # a price that is no number, such as "1e" or "1.2.3"
         return None
-    # numpy reads year 0, which datetime does not
-    if not np.isfinite(values).all() or hours.min() < np.datetime64("0001-01-01T00"):
+    # each number of the stamp from its digit pairs, and the calendar checked
+    # here: numpy's ISO reader crashes on some stamps that are off it
+    at = _PAIRS[:5 + with_offset]
+    pairs = ((stamp[:, at] - 48) * 10 + stamp[:, at + 1] - 48).astype(np.int64)
+    year, (month, day, hour) = pairs[:, 0] * 100 + pairs[:, 1], pairs.T[2:5]
+    months = (year - 1970) * 12 + month - 1
+    # epoch days of the first of each month from the earliest to the one after the latest
+    lo, i = months.min(), months - months.min()
+    firsts = np.arange(lo, lo + i.max() + 2).astype("datetime64[M]").astype("datetime64[D]")
+    firsts = firsts.view(np.int64)
+    if not (np.isfinite(values).all() and year.min() >= 1 and month.min() >= 1 and month.max() <= 12
+            and day.min() >= 1 and (day <= np.diff(firsts)[i]).all()
+            and pairs[:, 4:].max() <= 23):
         return None
-    offsets = np.full(len(m), _NAIVE, dtype=np.int64)
-    if with_offset:
-        offsets = (m[:, 20].astype(np.int64) - 48) * 10 + (m[:, 21] - 48)
-        if offsets.max() > 23:
-            return None
-        offsets[m[:, 19] == ord("-")] *= -1
-    return hours.astype(np.int64), offsets, values, np.arange(2, len(m) + 2)
+    offsets = (np.where(m[:, 19] == ord("-"), -pairs[:, 5], pairs[:, 5]) if with_offset
+               else np.full(len(m), _NAIVE, dtype=np.int64))
+    return (firsts[i] + day - 1) * HOURS_PER_DAY + hour, offsets, values, np.arange(2, len(m) + 2)
 
 
 def _parse_rows(lines: list[str]):
     """Stamp hours as written, their UTC offsets (_NAIVE for wall time),
     prices and line numbers of the data rows of a long file's lines, in
     file order; the one parser of odd but valid rows and of every row error."""
-    if not _is_long_header(lines[0]):
-        raise MalformedRow(1, f"expected header 'timestamp,price', got {lines[0]!r}")
     fields, offsets, values, line_nos = [], [], [], []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = _split_csv_line(line)
-        if len(cells) != 2:
-            raise MalformedRow(line_no, f"expected 2 fields, got {len(cells)}")
-        ts = _parse_timestamp(cells[0], line_no)
+    bad_header = f"expected header 'timestamp,price', got {lines[0]!r}"
+    for line_no, (stamp, price) in _rows(lines, _LONG_HEADER, bad_header):
+        ts = _parse_timestamp(stamp, line_no)
         fields.append(ts.toordinal() * HOURS_PER_DAY + ts.hour)
         offsets.append(_NAIVE if ts.tzinfo is None else ts.utcoffset() // _HOUR)
-        values.append(_parse_price(cells[1], line_no))
+        values.append(_parse_price(price, line_no))
         line_nos.append(line_no)
     fields, offsets, line_nos = np.array([fields, offsets, line_nos], dtype=np.int64)
     return fields - EPOCH_ORDINAL * HOURS_PER_DAY, offsets, np.array(values, dtype=float), line_nos
@@ -292,19 +302,9 @@ def _parse_rows(lines: list[str]):
 
 def _parse_wide(lines: list[str]):
     """As _parse_rows, one entry per cell; empty cells hold NaN."""
-    header = [h.lower() for h in _split_csv_line(lines[0])]
-    expected = ["date"] + [f"h{i}" for i in range(1, 25)]
-    if header != expected:
-        raise MalformedRow(1, "expected header 'date,h1,...,h24'")
-
     days, values, line_nos = [], [], []
     seen: set[date] = set()
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = _split_csv_line(line)
-        if len(cells) != 25:
-            raise MalformedRow(line_no, f"expected 25 fields, got {len(cells)}")
+    for line_no, cells in _rows(lines, _WIDE_HEADER, "expected header 'date,h1,...,h24'"):
         try:
             day = date.fromisoformat(cells[0])
         except ValueError as exc:

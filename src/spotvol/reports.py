@@ -22,13 +22,13 @@ from .lowrank import RankPModel
 
 
 def json_text(obj, path) -> str:
-    """The text write_json writes to path; a ValueError naming the file and
+    """The text write_json writes to path; an InputError naming the file and
     the field when obj holds a NaN or an infinity, which JSON cannot hold."""
     try:
         return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         for where, value in _nonfinite_fields(obj):
-            raise ValueError(
+            raise InputError(
                 f"cannot write {Path(path).name}: {where} is {value!r}, which JSON cannot hold"
             ) from None
         raise

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 import spotvol as sv
-from spotvol.cli import _config_from_args, build_parser, main
+from spotvol.cli import _config_from_args, _print_trend, build_parser, main
 from spotvol.errors import InputError
 from spotvol.ingest import DEFAULT_ZONE, DstPolicy
 from spotvol.pipeline import RunConfig, trend_from_year_reports
 from spotvol.reports import write_trend_csv
-from conftest import rank2_spec
+from conftest import berlin_year_csv, rank2_spec
 
 
 def write_spec(path, year=2016, mu=3.0, seed=0):
@@ -1016,3 +1016,97 @@ def test_unusable_out_is_an_input_error(tmp_path, capsys, monkeypatch, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+
+def hour_ending_utc_csv(path):
+    """A UTC 2015 written hour-ending: each day's hours are stamped 01 to 24."""
+    days = np.arange("2015-01-01", "2016-01-01", dtype="datetime64[D]").astype(str).tolist()
+    rows = [f"{day}T{h:02d}:00:00,{20.0 + h}" for day in days for h in range(1, 25)]
+    path.write_text("\n".join(["timestamp,price", *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def berlin_2015_csv(path, stamp):
+    """A naive Berlin 2015 whose line 1001, the row of 2015-02-11T15:00, is stamped stamp."""
+    lines = berlin_year_csv(2015).splitlines()
+    assert lines[1000].startswith("2015-02-11T15:00:00,")
+    lines[1000] = stamp + lines[1000][len(stamp):]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+# full years with one stamp off the calendar, its line, and the stamp
+OFF_CALENDAR = [
+    pytest.param(hour_ending_utc_csv, 25, "2015-01-01T24:00:00", id="hour-ending"),
+    *(pytest.param(lambda path, stamp=stamp: berlin_2015_csv(path, stamp), 1001, stamp, id=name)
+      for stamp, name in (("2015-02-11T24:00:00", "hour-24"), ("2015-02-29T15:00:00", "feb-29"),
+                          ("2015-13-11T15:00:00", "month-13"))),
+]
+
+
+def run_cli(*argv):
+    """The CLI in a child process, so that a crash fails one test, not the run."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sv.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "spotvol.cli", *map(str, argv)], env=env,
+                          capture_output=True, encoding="utf-8")
+
+
+@pytest.mark.parametrize("write, line, stamp", OFF_CALENDAR)
+def test_a_stamp_off_the_calendar_is_a_row_error_naming_its_line(tmp_path, write, line, stamp):
+    done = run_cli("ingest-check", write(tmp_path / "year.csv"), "--zone", "UTC")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith(f"error [ingest]: line {line}: bad timestamp '{stamp}'")
+    assert done.stderr.count("\n") == 1
+
+
+def test_years_off_the_calendar_fail_alone_in_a_trend(tmp_path):
+    files = [make_year_csv(tmp_path, year, mu, seed)
+             for year, mu, seed in ((2013, 5.0, 4), (2014, 4.0, 1), (2015, 3.0, 2))]
+    bad = [param.values[0](tmp_path / f"{param.id}.csv") for param in OFF_CALENDAR]
+    out = tmp_path / "out"
+    done = run_cli("analyze-trend", *files, *bad, "--zone", "UTC", "--permutations", "100",
+                   "--out", out)
+    assert done.returncode == 2
+    combined = json.loads((out / "trend.json").read_text(encoding="utf-8"))
+    assert combined["years"] == [2013, 2014, 2015] and combined["trend"] is not None
+    assert [(r["input"], r["stage"], r["error"]) for r in combined["errors"]] == [
+        (path.name, "ingest", "MalformedRow") for path in bad]
+    for param, record in zip(OFF_CALENDAR, combined["errors"]):
+        _, line, stamp = param.values
+        assert record["message"].startswith(f"line {line}: bad timestamp '{stamp}'")
+        assert f"failed: {record['input']} [ingest] {record['message']}\n" in done.stderr
+    assert not list(out.glob(".staging-*"))
+
+
+def test_a_year_report_json_cannot_hold_fails_that_year_alone(tmp_path, capsys, monkeypatch):
+    analyze = sv.pipeline.residual_stats.analyze_residuals
+
+    def nan_in_the_leap_year(residuals, **kw):
+        analysis = analyze(residuals, **kw)
+        return replace(analysis, mean_all=float("nan")) if len(residuals) == 8784 else analysis
+
+    monkeypatch.setattr(sv.pipeline.residual_stats, "analyze_residuals", nan_in_the_leap_year)
+    matrices = [sv.calendarize(sv.generate(rank2_spec(year=y, seed=y))) for y in range(2013, 2017)]
+    out = tmp_path / "out"
+    combined = sv.analyze_trend(RunConfig(permutations=100, zone="UTC", out_dir=out), matrices)
+    assert combined["years"] == [2013, 2014, 2015] and combined["trend"] is not None
+    message = "cannot write year_2016.json: residuals.mean_all is nan, which JSON cannot hold"
+    assert combined["errors"] == [{"input": "#4", "stage": None, "error": "InputError",
+                                   "category": "input", "message": message}]
+    assert not list(out.glob("*_2016.*")) and (out / "trend.json").exists()
+    capsys.readouterr()
+    _print_trend(combined)
+    assert capsys.readouterr().err == f"failed: #4 {message}\n"
+
+
+def test_a_second_input_for_a_year_that_fails_is_a_failed_year(tmp_path):
+    years = [sv.generate(rank2_spec(year=y, seed=y)) for y in (2014, 2015, 2016)]
+    huge = sv.generate(rank2_spec(year=2016, seed=1))
+    huge.values *= 1e300
+    out = tmp_path / "out"
+    combined = sv.analyze_trend(RunConfig(permutations=100, zone="UTC", out_dir=out), [*years, huge])
+    assert combined["years"] == [2014, 2015, 2016] and combined["trend"] is not None
+    [record] = combined["errors"]
+    assert (record["input"], record["stage"], record["error"]) == ("#4", "decompose", "AnalysisError")
+    assert sorted(p.name for p in out.glob("*.json")) == [
+        "trend.json", "year_2014.json", "year_2015.json", "year_2016.json"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import tempfile
 from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
@@ -159,12 +160,15 @@ def test_near_canonical_rows_take_the_row_parser(row, outcome):
 
 # Rows that break the offset form's own rules, in a body whose other rows carry
 # offsets too (in a naive body every row with an offset mixes the forms)
-@pytest.mark.parametrize("row, reason", [
+OFFSET_ROWS = [
     pytest.param("2016-03-01T05:00:00+24:00,1.5", "bad timestamp", id="offset-24"),
     pytest.param("2016-03-01T05:00:00-24:00,1.5", "bad timestamp", id="offset-minus-24"),
     pytest.param("2016-03-01T05:00:00+01:30,1.5", "is not on an hour boundary", id="offset-90-min"),
     pytest.param("2016-02-30T05:00:00+01:00,1.5", "bad timestamp", id="feb-30"),
-])
+]
+
+
+@pytest.mark.parametrize("row, reason", OFFSET_ROWS)
 def test_offset_rows_off_the_calendar_take_the_row_parser(row, reason):
     body = ["2016-03-01T03:00:00+00:00,1.0", row, "2016-03-01T07:00:00-01:00,2.0"]
     text = "\n".join(["timestamp,price", *body]) + "\n"
@@ -172,6 +176,30 @@ def test_offset_rows_off_the_calendar_take_the_row_parser(row, reason):
     with pytest.raises(MalformedRow) as info:
         parse(text, zone="UTC")
     assert info.value.line_number == 3 and reason in info.value.reason
+
+
+def full_year(row, offset=""):
+    """A UTC 2016 body, naive or stamped with offset, whose 2016-03-01T05 row,
+    line 1447, is row.  A full year, because numpy's ISO reader crashed on a
+    stamp off the calendar only in an array of more than about 500."""
+    hours = np.arange("2016-01-01T00", "2017-01-01T00", dtype="datetime64[h]").astype(str)
+    body = [f"{h}:00:00{offset},{1.0 + i % 24}" for i, h in enumerate(hours.tolist())]
+    assert body[1445].startswith("2016-03-01T05:00:00")
+    body[1445] = row
+    return "\n".join(["timestamp,price", *body]) + "\n"
+
+
+@pytest.mark.parametrize("row, reason, offset", [
+    *(pytest.param(*param.values, "", id=f"naive-{param.id}") for param in NEAR_CANONICAL
+      if param.values[1] == "bad timestamp"),
+    *(pytest.param(*param.values, "+00:00", id=f"with-offset-{param.id}") for param in OFFSET_ROWS),
+])
+def test_off_calendar_rows_in_a_full_year_name_their_line(row, reason, offset):
+    text = full_year(row, offset)
+    assert _canonical_long(text) is None
+    with pytest.raises(MalformedRow) as info:
+        parse(text, zone="UTC")
+    assert info.value.line_number == 1447 and reason in info.value.reason
 
 
 @pytest.mark.parametrize("text, stamps", [
@@ -244,6 +272,20 @@ def test_utf8_byte_order_mark_accepted(tmp_path):
         assert series.values.tolist() == [1.0]
     wide = "\ufeff" + WIDE_HEADER + "\n2016-07-01," + ",".join(["1.0"] * 24) + "\n"
     assert len(sv.parse_price_csv(wide.encode("utf-8"), format="wide")) == 24
+
+
+def test_any_text_reader_is_read_as_text():
+    text = "\ufefftimestamp,price\n2016-07-01T13:00Z,1.0\n"
+
+    class Reader:  # a reader of str that is no io.TextIOBase
+        def read(self):
+            return text
+
+    with tempfile.SpooledTemporaryFile(mode="w+", encoding="utf-8") as spooled:
+        spooled.write(text)
+        spooled.seek(0)
+        for source in (spooled, Reader()):
+            assert sv.parse_price_csv(source).values.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])

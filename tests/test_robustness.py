@@ -1,6 +1,8 @@
-"""`spotvol report` on hand-edited run directories: one field of a small run
-is changed, deleted or renamed, and the command ends with an exit code and,
-on an input error, one message line and the directory as it was."""
+"""Robustness probes.  `spotvol report` on hand-edited run directories: one
+field of a small run is changed, deleted or renamed, and the command ends
+with an exit code and, on an input error, one message line and the
+directory as it was.  Byte edits of a long and a wide Berlin year: parsing
+and calendarizing either give a DayMatrix or raise a SpotvolError."""
 
 import contextlib
 import io
@@ -9,11 +11,16 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spotvol as sv
 from spotvol.cli import main
+from spotvol.errors import SpotvolError
 from spotvol.pipeline import RunConfig
+from conftest import berlin_year_csv
 
 YEARS = (2014, 2015, 2016)
 DELETE = object()
@@ -101,3 +108,71 @@ def test_report_of_an_edited_run_exits_cleanly(edit):
         if code == 2:
             assert re.fullmatch(r"error: [^\n]*\n", err.getvalue())
             assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def berlin_wide_csv() -> str:
+    """Berlin 2016 as date,h1..h24 rows of seeded prices; the cell of the
+    skipped spring-forward hour, 2016-03-27 h3, is blank."""
+    days = np.arange("2016-01-01", "2017-01-01", dtype="datetime64[D]").astype(str).tolist()
+    cells = np.round(np.random.default_rng(7).normal(40.0, 15.0, (len(days), 24)), 2).astype(str)
+    cells[days.index("2016-03-27"), 2] = ""
+    rows = [f"{day},{','.join(row)}" for day, row in zip(days, cells)]
+    return "\n".join(["date," + ",".join(f"h{h}" for h in range(1, 25)), *rows]) + "\n"
+
+
+YEAR_BYTES = {"long": berlin_year_csv(2016).encode(), "wide": berlin_wide_csv().encode()}
+# mostly digits, so that many edited stamps keep their shape but leave the calendar
+REPLACEMENTS = list(b"0123456789" * 4 + b"-:T ,.+eE\r\n\x00\xff")
+INSERTS = [b"\r", b"\xef\xbb\xbf", b"\x00", "\u00e9".encode(), b"\n"]
+
+
+def byte_edits():
+    """Edits of a file's bytes; a position or line number is taken modulo the
+    size of the file as the edits before it left it."""
+    anywhere = st.integers(0, 10**6)
+    return st.lists(st.one_of(
+        st.tuples(st.just("replace"), anywhere, st.sampled_from(REPLACEMENTS)),
+        st.tuples(st.just("insert"), anywhere, st.sampled_from(INSERTS)),
+        st.tuples(st.sampled_from(["delete", "duplicate", "swap", "cut"]), anywhere, st.none()),
+    ), min_size=1, max_size=3)
+
+
+def edited_bytes(data: bytes, edits) -> bytes:
+    for kind, at, what in edits:
+        lines = data.split(b"\n")
+        line, after = at % len(lines), (at + 1) % len(lines)
+        at %= len(data) + 1
+        if kind == "replace":
+            data = data[:at] + bytes([what]) + data[at + 1:]
+        elif kind == "insert":
+            data = data[:at] + what + data[at:]
+        elif kind == "cut":
+            data = data[:at]
+        else:
+            if kind == "delete":
+                del lines[line]
+            elif kind == "duplicate":
+                lines.insert(line, lines[line])
+            else:  # swap the line and the one after it, the last with the first
+                lines[line], lines[after] = lines[after], lines[line]
+            data = b"\n".join(lines)
+    return data
+
+
+def line_start(layout: str, line: int) -> int:
+    """Offset of the first byte of a 1-based line of the unedited year."""
+    return sum(len(row) + 1 for row in YEAR_BYTES[layout].split(b"\n")[:line - 1])
+
+
+@pytest.mark.parametrize("layout", ["long", "wide"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(edits=byte_edits())
+# hour 10 of line 4523 made 90: numpy's ISO reader crashed on such a stamp
+@example(edits=[("replace", line_start("long", 4523) + 11, ord("9"))])
+def test_an_edited_year_parses_or_raises_a_spotvol_error(layout, edits):
+    data = edited_bytes(YEAR_BYTES[layout], edits)
+    try:
+        matrix = sv.calendarize(sv.parse_price_csv(data, format=layout))
+    except SpotvolError:
+        return
+    assert isinstance(matrix, sv.DayMatrix)

@@ -92,6 +92,12 @@ COMMANDS = [
     ["report", "report_nan_error"],
     # a trend.json nested deeper than the JSON reader recurses is an input error
     ["report", "report_deep_config"],
+    # a UTC year written hour-ending: its first T24:00:00 stamp, on line 25, is a
+    # row error, alone and as one failed input of a trend
+    ["ingest-check", "hour_ending_2015.csv", *UTC],
+    ["analyze-trend", *TRENDS[:3], "hour_ending_2015.csv", *UTC, "--out", "trend_hour_ending"],
+    # a second 2016 that fails at decompose is a failed year, not a duplicate
+    ["analyze-trend", *TRENDS[1:], "overflow_2016.csv", *UTC, "--out", "trend_overflow"],
 ]
 
 
@@ -196,6 +202,14 @@ def utc_year_rows(year: int) -> list[str]:
     return [f"{(start + timedelta(hours=i)).isoformat()},{20.0 + i % 24}" for i in range(hours)]
 
 
+def hour_ending_rows(year: int) -> list[str]:
+    """Naive UTC stamps of the year written hour-ending: hours 01 to 24 of each day."""
+    start = datetime(year, 1, 1)
+    days = (datetime(year + 1, 1, 1) - start).days
+    return [f"{(start + timedelta(days=d)).date()}T{h:02d}:00:00,{20.0 + h}"
+            for d in range(days) for h in range(1, 25)]
+
+
 def write_inputs(work: Path) -> None:
     for year in YEARS:
         (work / f"spec_{year}.json").write_text(json.dumps(spec(year)), encoding="utf-8")
@@ -222,7 +236,8 @@ def write_inputs(work: Path) -> None:
     for name, body in (("zulu_2016.csv", zulu), ("overflow_2016.csv", overflow),
                        ("half_hour_2016.csv", rows),
                        ("berlin_sparse_2016.csv", sparse), ("new_york_utc_2016.csv", new_york),
-                       ("kiritimati_utc_2016.csv", kiritimati)):
+                       ("kiritimati_utc_2016.csv", kiritimati),
+                       ("hour_ending_2015.csv", hour_ending_rows(2015))):
         (work / name).write_text("\n".join(["timestamp,price", *body]) + "\n", encoding="utf-8")
 
 
