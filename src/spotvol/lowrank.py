@@ -152,19 +152,18 @@ def truncate(decomposition: SpectralDecomposition, p: int) -> RankPModel:
     )
 
 
-def residual_series(matrix: DayMatrix, model: RankPModel) -> ResidualSeries:
+def residual_series(matrix: DayMatrix | np.ndarray, model: RankPModel) -> ResidualSeries:
     """Signed residuals A - A_p flattened to temporal hour order.
 
     The imputed mask rides along so later statistics can skip filled
-    cells.
+    cells; a plain grid has none.
     """
     a = _as_grid(matrix)
     if model.approximation.shape != a.shape:
         raise ShapeMismatch(
             f"approximation shape {model.approximation.shape} does not match matrix {a.shape}"
         )
-    return ResidualSeries(
-        values=(a - model.approximation).ravel(order="F").copy(),
-        imputed=matrix.imputed.ravel(order="F").copy(),
-    )
+    imputed = matrix.imputed if isinstance(matrix, DayMatrix) else np.zeros(a.shape, dtype=bool)
+    return ResidualSeries(values=(a - model.approximation).ravel(order="F").copy(),
+                          imputed=imputed.ravel(order="F").copy())
 

@@ -128,9 +128,9 @@ def analyze_year(config: RunConfig, year_input) -> dict:
     """Run the full single-year analysis and return the report dict.
 
     year_input may be a CSV path, an already parsed PriceSeries, or a
-    DayMatrix.  Files (report JSON plus plot CSVs) are written to
-    config.out_dir whenever it is set, which is made before any work; the
-    report's "files" section lists them by name.
+    DayMatrix.  The report is checked for values JSON cannot hold whether
+    or not config.out_dir is set; files (report JSON plus plot CSVs) are
+    written there only when it is, and it is made before any work.
     """
     if config.out_dir is not None:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
@@ -193,10 +193,10 @@ def analyze_year(config: RunConfig, year_input) -> dict:
         "files": file_names,
     }
 
+    # a value JSON cannot hold fails here, with or without out_dir, before any file is written
+    reports.json_text(report, f"year_{year}.json")
     if config.out_dir is not None:
         out = Path(config.out_dir)
-        # a value JSON cannot hold fails here, before any file is written
-        reports.json_text(report, out / f"year_{year}.json")
         reports.write_spectrum_csv(out / file_names["spectrum"], [report])
         reports.write_profiles_csv(out / file_names["profiles"], model)
         reports.write_amplitudes_csv(out / file_names["amplitudes"], model)
@@ -256,16 +256,16 @@ def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict]
         "errors": errors,
         "year_files": {str(r["year"]): f"year_{r['year']}.json" for r in year_reports},
     }
+    reports.json_text(combined, "trend.json")
     if out_dir is not None:
         out = Path(out_dir)
-        text = reports.json_text(combined, out / "trend.json")
         out.mkdir(parents=True, exist_ok=True)
         for path in staged:
             os.replace(path, out / path.name)
         if trend_report is not None:
             reports.write_trend_csv(out / "trend.csv", trend_report)
         reports.write_spectrum_csv(out / "spectrum.csv", year_reports)
-        (out / "trend.json").write_text(text, encoding="utf-8", newline="\n")
+        reports.write_json(out / "trend.json", combined)
     return combined
 
 

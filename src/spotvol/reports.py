@@ -22,16 +22,16 @@ from .lowrank import RankPModel
 
 
 def json_text(obj, path) -> str:
-    """The text write_json writes to path; an InputError naming the file and
-    the field when obj holds a NaN or an infinity, which JSON cannot hold."""
+    """The text write_json writes to path; an InputError naming the file (and
+    the field of a NaN or an infinity) when obj holds a value JSON cannot."""
     try:
         return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError:
+    except ValueError as exc:
         for where, value in _nonfinite_fields(obj):
             raise InputError(
                 f"cannot write {Path(path).name}: {where} is {value!r}, which JSON cannot hold"
             ) from None
-        raise
+        raise InputError(f"cannot write {Path(path).name}: {exc}") from None
 
 
 def _nonfinite_fields(obj):
@@ -59,7 +59,7 @@ def read_json(path, kind: str, keys: tuple = ()) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # nested too deep
+    except (OSError, ValueError, RecursionError) as exc:  # any decode failure; nested too deep
         raise InputError(f"cannot read {kind} {path}: {exc}") from exc
     for key in keys:
         node = doc

@@ -1078,7 +1078,8 @@ def test_years_off_the_calendar_fail_alone_in_a_trend(tmp_path):
     assert not list(out.glob(".staging-*"))
 
 
-def test_a_year_report_json_cannot_hold_fails_that_year_alone(tmp_path, capsys, monkeypatch):
+def _nan_in_the_leap_year(monkeypatch):
+    """Make the residual statistics of a leap year hold mean_all = NaN."""
     analyze = sv.pipeline.residual_stats.analyze_residuals
 
     def nan_in_the_leap_year(residuals, **kw):
@@ -1086,6 +1087,10 @@ def test_a_year_report_json_cannot_hold_fails_that_year_alone(tmp_path, capsys, 
         return replace(analysis, mean_all=float("nan")) if len(residuals) == 8784 else analysis
 
     monkeypatch.setattr(sv.pipeline.residual_stats, "analyze_residuals", nan_in_the_leap_year)
+
+
+def test_a_year_report_json_cannot_hold_fails_that_year_alone(tmp_path, capsys, monkeypatch):
+    _nan_in_the_leap_year(monkeypatch)
     matrices = [sv.calendarize(sv.generate(rank2_spec(year=y, seed=y))) for y in range(2013, 2017)]
     out = tmp_path / "out"
     combined = sv.analyze_trend(RunConfig(permutations=100, zone="UTC", out_dir=out), matrices)
@@ -1097,6 +1102,80 @@ def test_a_year_report_json_cannot_hold_fails_that_year_alone(tmp_path, capsys, 
     capsys.readouterr()
     _print_trend(combined)
     assert capsys.readouterr().err == f"failed: #4 {message}\n"
+
+
+def test_a_trend_is_the_same_in_memory_and_on_disk(tmp_path, monkeypatch):
+    # out_dir decides only whether files are written: the NaN year fails on both paths
+    _nan_in_the_leap_year(monkeypatch)
+    matrices = [sv.calendarize(sv.generate(rank2_spec(year=y, seed=y))) for y in range(2013, 2017)]
+    config = RunConfig(permutations=100, zone="UTC")
+    in_memory = sv.analyze_trend(config, matrices)
+    on_disk = sv.analyze_trend(replace(config, out_dir=tmp_path), matrices)
+    assert in_memory == on_disk
+    assert in_memory["years"] == [2013, 2014, 2015]
+    assert [record["input"] for record in in_memory["errors"]] == ["#4"]
+    assert (tmp_path / "trend.json").read_text(encoding="utf-8") == (
+        sv.reports.json_text(on_disk, "trend.json"))
+
+
+def test_a_year_report_json_cannot_hold_fails_alike_with_and_without_out(tmp_path, monkeypatch):
+    _nan_in_the_leap_year(monkeypatch)
+    matrix = sv.calendarize(sv.generate(rank2_spec(year=2016, seed=1)))
+    config = RunConfig(permutations=100, zone="UTC")
+    messages = []
+    for out_dir in (None, tmp_path / "out"):
+        with pytest.raises(InputError) as caught:
+            sv.analyze_year(replace(config, out_dir=out_dir), matrix)
+        messages.append(str(caught.value))
+    assert messages == ["cannot write year_2016.json: residuals.mean_all is nan,"
+                        " which JSON cannot hold"] * 2
+    assert not list((tmp_path / "out").iterdir())
+
+
+# an integer past Python's 4,300-digit limit for str <-> int, which json cannot read
+HUGE_INT = "9" * 5000
+
+
+def test_every_report_json_cannot_read_is_named(tmp_path, capsys):
+    years = tmp_path / "years"
+    _fake_year_reports(years)
+    edited = years / "year_2015.json"
+    edited.write_text(edited.read_text(encoding="utf-8").replace(
+        '"mu_hat": 3.0', f'"mu_hat": {HUGE_INT}'), encoding="utf-8")
+    recorded = tmp_path / "recorded"
+    _fake_year_reports(recorded)
+    assert main(["report", str(recorded)]) == 0
+    record = recorded / "trend.json"
+    record.write_text(record.read_text(encoding="utf-8").replace(
+        '"seed": 0', f'"seed": {HUGE_INT}'), encoding="utf-8")
+    latin1 = tmp_path / "latin1"
+    _fake_year_reports(latin1)
+    (latin1 / "year_2016.json").write_bytes(b'{"year": 2016, "note": "caf\xe9"}')
+    for run, kind, path, problem in (
+        (years, "year report", edited, "Exceeds the limit (4300 digits)"),
+        (recorded, "trend report", record, "Exceeds the limit (4300 digits)"),
+        (latin1, "year report", latin1 / "year_2016.json", "'utf-8' codec can't decode"),
+    ):
+        before = _files(run)
+        capsys.readouterr()
+        assert main(["report", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {kind} {path}: {problem}")
+        assert err.count("\n") == 1
+        assert _files(run) == before
+
+
+def test_a_spec_json_cannot_read_is_named(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    write_spec(spec, seed=0)
+    spec.write_text(spec.read_text(encoding="utf-8").replace(
+        '"seed": 0', f'"seed": {HUGE_INT}'), encoding="utf-8")
+    out = tmp_path / "prices.csv"
+    assert main(["synth", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read spec {spec}: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_a_second_input_for_a_year_that_fails_is_a_failed_year(tmp_path):

@@ -137,6 +137,15 @@ def test_residual_series_alignment_and_mask():
     assert resid.values[flat_index] == expected
 
 
+def test_residual_series_of_a_plain_grid_has_no_imputed_cells():
+    matrix = sv.calendarize(sv.generate(rank2_spec(seed=2)))
+    matrix.imputed[3, 10] = True
+    model = sv.truncate(sv.decompose(matrix), 2)
+    from_grid = sv.residual_series(matrix.values, model)
+    assert np.array_equal(from_grid.values, sv.residual_series(matrix, model).values)
+    assert from_grid.imputed.shape == (8784,) and not from_grid.imputed.any()
+
+
 def test_residual_series_shape_mismatch():
     series = sv.generate(rank2_spec(seed=3))
     matrix = sv.calendarize(series)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spotvol import reports
+from spotvol.errors import InputError
 from spotvol.lowrank import RankPModel
 
 
@@ -96,3 +97,9 @@ def test_row_with_wrong_cell_count_raises_and_writes_nothing(tmp_path, row):
     with pytest.raises(TypeError):
         reports.write_probplot_csv(path, [(0.0, 1.0), row])
     assert not path.exists()
+
+
+def test_an_int_json_cannot_write_is_an_input_error_naming_the_file():
+    # past Python's 4,300-digit limit, str(int) and so json.dumps raise ValueError
+    with pytest.raises(InputError, match=r"^cannot write x\.json: Exceeds the limit"):
+        reports.json_text({"x": 10**5000}, "x.json")

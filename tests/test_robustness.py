@@ -1,8 +1,9 @@
 """Robustness probes.  `spotvol report` on hand-edited run directories: one
 field of a small run is changed, deleted or renamed, and the command ends
-with an exit code and, on an input error, one message line and the
-directory as it was.  Byte edits of a long and a wide Berlin year: parsing
-and calendarizing either give a DayMatrix or raise a SpotvolError."""
+with an exit code and, on an input error, one message line that names the
+file or directory to repair, and the directory as it was.  Byte edits of a
+long and a wide Berlin year: parsing and calendarizing either give a
+DayMatrix or raise a SpotvolError."""
 
 import contextlib
 import io
@@ -24,8 +25,11 @@ from conftest import berlin_year_csv
 
 YEARS = (2014, 2015, 2016)
 DELETE = object()
+# written as the raw text of a 5,000-digit integer, past Python's str <-> int limit,
+# which json.dumps cannot make
+HUGE_INT = "<huge int>"
 VALUES = ["x", 5, 1.5, True, None, [], {}, [1.0], float("nan"), float("inf"), float("-inf"),
-          10**400, DELETE]
+          10**400, HUGE_INT, DELETE]
 RENAMES = ["year_2017.json", "year_2015.json.bak", "Year_2015.json"]
 
 
@@ -89,6 +93,8 @@ def edits():
 @example(edit=(("trend.json", ("errors", 0, "category")), float("inf")))
 @example(edit=(("trend.json", ("config",)), DELETE))
 @example(edit=(("year_2014.json", ("config", "rank")), 3))
+@example(edit=(("year_2015.json", ("residuals", "mu_hat")), HUGE_INT))
+@example(edit=(("trend.json", ("config", "seed")), HUGE_INT))
 def test_report_of_an_edited_run_exits_cleanly(edit):
     (name, path), value = edit
     files = run_files()
@@ -97,7 +103,8 @@ def test_report_of_an_edited_run_exits_cleanly(edit):
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp)
         for file_name, doc in files.items():
-            (run / file_name).write_text(json.dumps(doc), encoding="utf-8")
+            text = json.dumps(doc).replace(json.dumps(HUGE_INT), "9" * 5000)
+            (run / file_name).write_text(text, encoding="utf-8")
         if name == "rename":
             (run / path).rename(run / value)
         before = {p.name: p.read_bytes() for p in run.iterdir()}
@@ -107,6 +114,8 @@ def test_report_of_an_edited_run_exits_cleanly(edit):
         assert code in (0, 2, 3)
         if code == 2:
             assert re.fullmatch(r"error: [^\n]*\n", err.getvalue())
+            # the message names the directory or the file to repair
+            assert tmp in err.getvalue() or ".json" in err.getvalue()
             assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 

@@ -98,7 +98,13 @@ COMMANDS = [
     ["analyze-trend", *TRENDS[:3], "hour_ending_2015.csv", *UTC, "--out", "trend_hour_ending"],
     # a second 2016 that fails at decompose is a failed year, not a duplicate
     ["analyze-trend", *TRENDS[1:], "overflow_2016.csv", *UTC, "--out", "trend_overflow"],
+    # an integer past Python's 4,300-digit limit is a read error naming its file
+    ["synth", "spec_huge_seed.json", "--out", "prices_huge_seed.csv"],
+    ["report", "report_huge_mu"],
 ]
+
+# the raw text of an integer json cannot read: 5,000 digits
+HUGE_INT = "9" * 5000
 
 
 def edit_trend_json(run: Path, edit) -> None:
@@ -120,6 +126,14 @@ def deep_config(run: Path) -> None:
                                     encoding="utf-8")
 
 
+def huge_mu(run: Path) -> None:
+    path = run / "year_2015.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["residuals"]["mu_hat"] = "<mu_hat>"
+    text = json.dumps(doc, indent=2, sort_keys=True).replace('"<mu_hat>"', HUGE_INT)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
 # report directories made just before their command: a copy of a run, then an edit
 COPIES = {
     "report_in_place": ("trend_malformed", lambda run: None),
@@ -127,6 +141,7 @@ COPIES = {
         run, lambda doc: doc["config"].update(rank=3))),
     "report_nan_error": ("trend_malformed", nan_error),
     "report_deep_config": ("trend_jobs1", deep_config),
+    "report_huge_mu": ("trend_jobs1", huge_mu),
 }
 
 
@@ -213,6 +228,9 @@ def hour_ending_rows(year: int) -> list[str]:
 def write_inputs(work: Path) -> None:
     for year in YEARS:
         (work / f"spec_{year}.json").write_text(json.dumps(spec(year)), encoding="utf-8")
+    (work / "spec_huge_seed.json").write_text(
+        json.dumps({**spec(2016), "seed": "<seed>"}).replace('"<seed>"', HUGE_INT),
+        encoding="utf-8")
     (work / "malformed.csv").write_text(
         "timestamp,price\n2016-01-01T00:00Z,not_a_number\n", encoding="utf-8"
     )
