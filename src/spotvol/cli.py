@@ -41,22 +41,19 @@ def _dst_policy(text: str) -> DstPolicy:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _non_empty(what: str, convert=str):
-    """argparse type: a non-empty path, passed through convert."""
+def _non_empty(what: str):
+    """argparse type: a non-empty path."""
 
-    def parse(text: str):
+    def parse(text: str) -> str:
         if not text:
             raise argparse.ArgumentTypeError(f"{what} must not be empty")
-        return convert(text)
+        return text
 
     return parse
 
 
 def _add_out_dir_flag(parser: argparse.ArgumentParser, text: str, required: bool = True):
-    parser.add_argument(
-        "--out", dest="out_dir", type=_non_empty("output directory", Path), metavar="OUT",
-        required=required, help=text,
-    )
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", required=required, help=text)
 
 
 def _add_ingest_flags(parser: argparse.ArgumentParser, config: RunConfig):

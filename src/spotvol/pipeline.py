@@ -40,7 +40,8 @@ class RunConfig:
     1000 permutations, seed 0.  The configuration is echoed into every
     report so a run can be reproduced from its outputs alone.  Building
     one raises InputError naming an invalid field, a value of the wrong
-    type before one out of range, or an unknown zone.
+    type before one out of range, an unknown zone or an empty out_dir,
+    which is held as a Path.
     """
 
     rank: int = 2
@@ -76,11 +77,13 @@ class RunConfig:
             "gap_limit": (self.gap_limit >= 0, "be >= 0"),
             "input_format": (self.input_format in FORMATS, f"be one of {FORMATS}"),
             "jobs": (self.jobs >= 1, "be >= 1"),
+            "out_dir": (self.out_dir != "", "not be empty"),
         }
         for name, (ok, rule) in rules.items():
             if not ok:
                 raise InputError(f"{name} must {rule}, got {getattr(self, name)!r}")
         zones.zone_info(self.zone)  # an unknown zone fails before any input is read
+        self.out_dir = None if self.out_dir is None else Path(self.out_dir)
 
     def echo(self) -> dict:
         return {
@@ -133,7 +136,7 @@ def analyze_year(config: RunConfig, year_input) -> dict:
     written there only when it is, and it is made before any work.
     """
     if config.out_dir is not None:
-        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        config.out_dir.mkdir(parents=True, exist_ok=True)
     matrix = load_matrix(year_input, config)
     with _stage("decompose"):
         decomposition = lowrank.decompose(matrix)
@@ -196,7 +199,7 @@ def analyze_year(config: RunConfig, year_input) -> dict:
     # a value JSON cannot hold fails here, with or without out_dir, before any file is written
     reports.json_text(report, f"year_{year}.json")
     if config.out_dir is not None:
-        out = Path(config.out_dir)
+        out = config.out_dir
         reports.write_spectrum_csv(out / file_names["spectrum"], [report])
         reports.write_profiles_csv(out / file_names["profiles"], model)
         reports.write_amplitudes_csv(out / file_names["amplitudes"], model)
@@ -258,14 +261,13 @@ def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict]
     }
     reports.json_text(combined, "trend.json")
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out_dir.mkdir(parents=True, exist_ok=True)
         for path in staged:
-            os.replace(path, out / path.name)
+            os.replace(path, out_dir / path.name)
         if trend_report is not None:
-            reports.write_trend_csv(out / "trend.csv", trend_report)
-        reports.write_spectrum_csv(out / "spectrum.csv", year_reports)
-        reports.write_json(out / "trend.json", combined)
+            reports.write_trend_csv(out_dir / "trend.csv", trend_report)
+        reports.write_spectrum_csv(out_dir / "spectrum.csv", year_reports)
+        reports.write_json(out_dir / "trend.json", combined)
     return combined
 
 
@@ -277,18 +279,18 @@ def analyze_trend(config: RunConfig, year_inputs: list) -> dict:
     (a path input by its file name, any other input by its 1-based
     position, "#3").  The combined report (trend fit, or None below
     trend.MIN_YEARS analyzed years; per-year summaries; error records) is
-    written by _write_trend_report when config.out_dir is set.  Each year
-    writes into its own staging directory first, so inputs sharing a year
-    raise InputError and leave nothing of the run in config.out_dir.
+    written by _write_trend_report when config.out_dir is set.  The years
+    write into one staging directory inside it first, so inputs sharing a
+    year raise InputError and leave nothing of the run in config.out_dir.
     """
     out = config.out_dir
     if out is not None:
-        Path(out).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     staging = nullcontext() if out is None else TemporaryDirectory(prefix=".staging-", dir=out)
     with staging as stage:
+        own = config if out is None else replace(config, out_dir=stage)
 
         def run_one(position: int, item) -> tuple[dict | None, dict | None]:
-            own = config if out is None else replace(config, out_dir=Path(stage, str(position)))
             try:
                 return analyze_year(own, item), None
             except SpotvolError as exc:
@@ -304,7 +306,7 @@ def analyze_trend(config: RunConfig, year_inputs: list) -> dict:
             outcomes = list(pool.map(run_one, range(1, len(year_inputs) + 1), year_inputs))
         results = [report for report, _ in outcomes if report is not None]
         errors = [error for _, error in outcomes if error is not None]
-        staged = () if out is None else sorted(Path(stage).glob("*/*"))
+        staged = () if out is None else sorted(own.out_dir.iterdir())
         return _write_trend_report(config.echo(), results, errors, out, staged)
 
 

@@ -218,10 +218,12 @@ def _hourly_from_json(value, where: str) -> np.ndarray:
         if preset is None:
             raise InvalidSpec(f"{where}: unknown profile preset {value!r}")
         return preset()
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidSpec(f"{where}: hourly must be a preset name or a list of numbers") from exc
+    if isinstance(value, list) and all(map(_is_number, value)):
+        try:
+            return np.asarray(value, dtype=float)
+        except OverflowError:  # an integer past the float range
+            pass
+    raise InvalidSpec(f"{where}: hourly must be a preset name or a list of numbers")
 
 
 _SCALARS = ("year", "seed", "residual_mu", "sign_mix")

@@ -571,7 +571,7 @@ def test_empty_out_rejected_before_any_work(tmp_path, monkeypatch, capsys, comma
     with pytest.raises(SystemExit) as info:
         main([command, source, "--out", ""])
     assert info.value.code == 2
-    assert "output directory must not be empty" in capsys.readouterr().err
+    assert "out_dir must not be empty" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -648,6 +648,7 @@ _INVALID_NAMES = [
     ("estimator", "mle", "estimator must be one of ('trimmed', 'censored'), got 'mle'"),
     ("input_format", "csv", "input_format must be one of ('long', 'wide'), got 'csv'"),
     ("zone", "Mars/Olympus", "unknown time zone 'Mars/Olympus'"),
+    ("out_dir", "", "out_dir must not be empty, got ''"),
 ]
 # values of the wrong type, which the CLI's int and float parsers cannot produce
 _INVALID_TYPES = [
@@ -678,6 +679,22 @@ def test_run_config_rejects_invalid_values(field, value, message):
     with pytest.raises(InputError) as info:
         RunConfig(**{field: value})
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("given", ["x", Path("x")], ids=["str", "Path"])
+def test_run_config_holds_out_dir_as_a_path(given):
+    assert RunConfig(out_dir=given).out_dir == Path("x")
+    assert replace(RunConfig(), out_dir=given) == RunConfig(out_dir=Path("x"))
+
+
+def test_an_empty_out_dir_writes_nothing_to_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    matrix = sv.calendarize(sv.generate(rank2_spec(year=2016, seed=1)))
+    with pytest.raises(InputError, match="^out_dir must not be empty, got ''$"):
+        sv.analyze_year(RunConfig(permutations=100, zone="UTC", out_dir=""), matrix)
+    with pytest.raises(InputError, match="^out_dir must not be empty, got ''$"):
+        sv.assemble_report(replace(RunConfig(), out_dir=""), tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("field, value, message", _INVALID_CONFIG, ids=_config_ids(_INVALID_CONFIG))
@@ -993,6 +1010,23 @@ def test_duplicate_years_leave_nothing_in_out(tmp_path, capsys, jobs):
     assert err == "error: duplicate years among the inputs: [2016, 2016, 2016]\n"
     # no year report, CSV, trend.json or staging directory is left behind
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_trend_stages_its_years_in_one_directory(tmp_path, monkeypatch, jobs):
+    written = []
+    write_json = sv.reports.write_json
+    monkeypatch.setattr(sv.reports, "write_json",
+                        lambda path, doc: (written.append(path), write_json(path, doc)))
+    matrices = [sv.calendarize(sv.generate(rank2_spec(year=y, seed=y))) for y in (2014, 2015, 2016)]
+    out = tmp_path / "out"
+    sv.analyze_trend(RunConfig(permutations=100, zone="UTC", jobs=jobs, out_dir=out), matrices)
+    [stage] = {path.parent for path in written} - {out}
+    assert stage.parent == out and stage.name.startswith(".staging-")
+    assert sorted(path.name for path in written) == [
+        "trend.json", "year_2014.json", "year_2015.json", "year_2016.json"]
+    # the staged files were moved into out, and the staging directory is gone
+    assert not stage.exists() and len(list(out.iterdir())) == 6 * 3 + 3
 
 
 @pytest.mark.parametrize("command", ["synth", "analyze-year", "analyze-trend"])

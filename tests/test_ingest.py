@@ -681,3 +681,20 @@ def test_dst_policy_labels_round_trip():
         DstPolicy.parse("bogus")
     with pytest.raises(ValueError):
         DstPolicy(spring="nearest")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: DstPolicy(fall="median"), ValueError, "unknown fall policy 'median'",
+                 id="fall-policy"),
+    pytest.param(lambda: sv.parse_price_csv(42), TypeError, "cannot read from int",
+                 id="not-a-source"),
+    pytest.param(lambda: sv.parse_price_csv(b"timestamp,price\n", format="tsv"), ValueError,
+                 "unknown format 'tsv'", id="format"),
+    pytest.param(lambda: sv.calendarize(sv.PriceSeries(np.arange(48), np.full(48, np.nan),
+                                                       zone="UTC")),
+                 WrongYearSpan, "series holds no observed values", id="all-nan"),
+])
+def test_ingest_errors_name_their_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

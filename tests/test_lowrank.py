@@ -210,3 +210,22 @@ def test_energy_fraction_monotone():
     fracs = [dec.energy_fraction(p) for p in range(1, dec.rank + 1)]
     assert all(b >= a for a, b in zip(fracs, fracs[1:]))
     assert fracs[-1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: sv.ResidualSeries(values=np.zeros(5), imputed=np.zeros(4, bool)),
+                 "values and imputed mask differ in length", id="mask-length"),
+    pytest.param(lambda: sv.decompose(np.zeros(24)), "expected a 2-d matrix, got 1-d", id="1-d"),
+    pytest.param(lambda: sv.decompose(np.zeros((0, 5))), "degenerate matrix shape (0, 5)",
+                 id="0x5"),
+])
+def test_shape_mismatch_names_the_shape(call, message):
+    with pytest.raises(ShapeMismatch) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_zero_grid_spectrum():
+    dec = sv.decompose(np.zeros((24, 10)))
+    assert np.array_equal(dec.sigma_normalized, np.zeros(10))
+    assert dec.energy_fraction(1) == 1.0

@@ -185,3 +185,13 @@ def test_analyze_residuals_degenerate_zero_noise():
     assert analysis.mu_hat == 0.0
     assert analysis.tail_median is None
     assert analysis.probplot == []
+
+
+@pytest.mark.parametrize("statistic", [
+    pytest.param(sv.tail_median, id="tail-median"),
+    pytest.param(lambda residuals: sv.probplot_points(residuals, 1.0), id="probplot"),
+])
+def test_an_all_imputed_series_has_too_few_residuals(statistic):
+    with pytest.raises(TooFewResiduals) as info:
+        statistic(series_of(np.ones(200), np.ones(200, dtype=bool)))
+    assert str(info.value) == "no observed residuals"

@@ -1,5 +1,7 @@
 """Synthetic-year generation: determinism, rank structure, JSON spec form."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,50 @@ def test_json_kind_builds_the_spec_its_factory_builds(
         seasonal_modulation=modulation, seed=3,
     )
     assert np.array_equal(sv.generate(sv.spec_from_json(doc)).values, sv.generate(direct).values)
+
+
+def _profile(**item):
+    return lambda doc: doc["profiles"][0].update(item)
+
+
+_NOT_HOURLY = "profile 0: hourly must be a preset name or a list of numbers"
+
+
+@pytest.mark.parametrize("mangle, message", [
+    pytest.param(_profile(hourly=[float("nan")] * 24), "profile 0: hourly vector must be finite",
+                 id="nan-hourly"),
+    pytest.param(lambda doc: doc.update(seasonal_modulation={"kind": "u_shaped", "beta": -5}),
+                 "modulation must be finite and nonnegative", id="negative-modulation"),
+    pytest.param(lambda doc: doc.update(profiles=[
+                     {"hourly": [1.7e308] * 24, "amplitude": {"kind": "constant", "level": 1}},
+                 ] * 2), "profiles and noise sum to non-finite prices", id="overflowing-sum"),
+    pytest.param(_profile(hourly=["1"] * 24), _NOT_HOURLY, id="string-hourly"),
+    pytest.param(_profile(hourly=[True] * 24), _NOT_HOURLY, id="boolean-hourly"),
+    pytest.param(_profile(hourly=None), _NOT_HOURLY, id="null-hourly"),
+    pytest.param(_profile(hourly=[10**400] * 24), _NOT_HOURLY, id="hourly-overflow"),
+    pytest.param(lambda doc: doc.update(profiles={"hourly": "flat"}), "profiles must be a list",
+                 id="profiles-not-a-list"),
+    pytest.param(lambda doc: doc["profiles"][0].pop("amplitude"),
+                 "profile 0: need 'hourly' and 'amplitude'", id="no-amplitude"),
+])
+def test_json_spec_errors_name_their_cause(mangle, message):
+    doc = {"year": 2016, "residual_mu": 1.0,
+           "profiles": [{"hourly": "flat", "amplitude": {"kind": "constant", "level": 1.0}}]}
+    mangle(doc)
+    with pytest.raises(InvalidSpec) as info:
+        sv.generate(sv.spec_from_json(json.loads(json.dumps(doc))))  # as a spec file reads
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field, message", [
+    pytest.param({"profiles": [(flat_profile(), lambda d: np.ones(3))]},
+                 "amplitude function returned shape (3,)", id="amplitude"),
+    pytest.param({"seasonal_modulation": lambda d: np.ones(3)},
+                 "modulation function returned shape (3,)", id="modulation"),
+])
+def test_a_function_of_the_wrong_length_is_refused(field, message):
+    spec = sv.SynthSpec(**{"year": 2016, "residual_mu": 1.0,
+                           "profiles": [(flat_profile(), constant_amplitude(1.0))], **field})
+    with pytest.raises(InvalidSpec) as info:
+        sv.generate(spec)
+    assert str(info.value) == message

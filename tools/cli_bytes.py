@@ -14,7 +14,8 @@ The manifest holds the sha256 of every file left in the work directory
 (inputs and outputs) and each command's argv, exit code, stdout and
 stderr; a stream longer than STREAM_LIMIT characters is kept as its
 sha256.  The last bits of a float depend on the BLAS build, so compare
-manifests made on one machine only.
+manifests made on one machine only; the manifest's "environment" names
+the Python, numpy and BLAS the commands ran with.
 """
 
 from __future__ import annotations
@@ -98,10 +99,20 @@ COMMANDS = [
     ["analyze-trend", *TRENDS[:3], "hour_ending_2015.csv", *UTC, "--out", "trend_hour_ending"],
     # a second 2016 that fails at decompose is a failed year, not a duplicate
     ["analyze-trend", *TRENDS[1:], "overflow_2016.csv", *UTC, "--out", "trend_overflow"],
+    # two 2016s that both succeed are duplicates: the run leaves no file in its --out
+    ["analyze-trend", *TRENDS[1:], TRENDS[-1], *UTC, "--jobs", "2", "--out", "trend_duplicate"],
     # an integer past Python's 4,300-digit limit is a read error naming its file
     ["synth", "spec_huge_seed.json", "--out", "prices_huge_seed.csv"],
     ["report", "report_huge_mu"],
 ]
+
+# run with the commands' interpreter: where spotvol comes from, and the environment
+ENVIRONMENT = """\
+import json, platform, numpy, spotvol
+blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+print(json.dumps({"spotvol": spotvol.__file__, "python": platform.python_version(),
+                  "numpy": numpy.__version__, "blas": f"{blas['name']} {blas['version']}"}))
+"""
 
 # the raw text of an integer json cannot read: 5,000 digits
 HUGE_INT = "9" * 5000
@@ -276,10 +287,11 @@ def run(argv: list[str], work: Path, env: dict) -> dict:
 
 def manifest(src: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(src)}
-    where = subprocess.run(
-        [sys.executable, "-c", "import spotvol; print(spotvol.__file__)"],
+    environment = json.loads(subprocess.run(
+        [sys.executable, "-c", ENVIRONMENT],
         env=env, capture_output=True, encoding="utf-8", check=True,
-    ).stdout.strip()
+    ).stdout)
+    where = environment.pop("spotvol")
     if not Path(where).resolve().is_relative_to(src):
         raise SystemExit(f"spotvol was imported from {where}, not from {src}")
     with tempfile.TemporaryDirectory(prefix="cli-bytes-") as tmp:
@@ -296,7 +308,7 @@ def manifest(src: Path) -> dict:
             path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(work.rglob("*")) if path.is_file()
         }
-    return {"commands": commands, "files": files}
+    return {"environment": environment, "commands": commands, "files": files}
 
 
 def main(argv=None) -> int:
