@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -64,7 +64,8 @@ class RunConfig:
                  "out_dir": ((type(None), str, os.PathLike), "None, a str or an os.PathLike")}
         for name, (kind, what) in kinds.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or isinstance(value, os.PathLike) and not isinstance(os.fspath(value), str)):
                 raise InputError(f"{name} must be {what}, got {value!r}")
         least = seasonality.MIN_PERMUTATIONS
         rules = {
@@ -110,6 +111,27 @@ def _stage(name: str):
         raise
 
 
+@contextmanager
+def _publish(out: Path | None):
+    """The one way a run's files reach out.  out is made first, and the body
+    writes into the fresh .staging-* directory yielded inside it (None for no
+    out).  On return the CSVs, then each year_<Y>.json, then trend.json move
+    in; a name that is a directory in out is an InputError before any move.
+    Any exception deletes the stage and leaves out as it was."""
+    if out is None:
+        yield None
+        return
+    out.mkdir(parents=True, exist_ok=True)
+    with TemporaryDirectory(prefix=".staging-", dir=out) as stage:
+        yield Path(stage)
+        names = sorted(os.listdir(stage), key=lambda n: (n.endswith(".json"), n == "trend.json", n))
+        for name in names:
+            if (out / name).is_dir():
+                raise InputError(f"cannot write {out / name}: it is a directory")
+        for name in names:
+            os.replace(os.path.join(stage, name), out / name)
+
+
 def load_matrix(source, config: RunConfig) -> DayMatrix:
     """The year's day matrix: a DayMatrix as is, a PriceSeries
     calendarized, anything else parsed as a CSV path, then calendarized."""
@@ -133,83 +155,81 @@ def analyze_year(config: RunConfig, year_input) -> dict:
     year_input may be a CSV path, an already parsed PriceSeries, or a
     DayMatrix.  The report is checked for values JSON cannot hold whether
     or not config.out_dir is set; files (report JSON plus plot CSVs) are
-    written there only when it is, and it is made before any work.
+    published there only when it is, and it is made before any work.
     """
-    if config.out_dir is not None:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-    matrix = load_matrix(year_input, config)
-    with _stage("decompose"):
-        decomposition = lowrank.decompose(matrix)
-    with _stage("truncate"):
-        model = lowrank.truncate(decomposition, config.rank)
-    with _stage("residuals"):
-        residuals = lowrank.residual_series(matrix, model)
-        analysis = residual_stats.analyze_residuals(
-            residuals, q=config.trim, method=config.estimator
-        )
-    with _stage("seasonality"):
-        # about one compute thread per core: the config.jobs years that
-        # run at once share the cores between their permutation tests
-        test = seasonality.permutation_test(
-            residuals, n_permutations=config.permutations, seed=config.seed,
-            workers=max(1, seasonality.usable_cores() // config.jobs),
-        )
+    with _publish(config.out_dir) as out:
+        matrix = load_matrix(year_input, config)
+        with _stage("decompose"):
+            decomposition = lowrank.decompose(matrix)
+        with _stage("truncate"):
+            model = lowrank.truncate(decomposition, config.rank)
+        with _stage("residuals"):
+            residuals = lowrank.residual_series(matrix, model)
+            analysis = residual_stats.analyze_residuals(
+                residuals, q=config.trim, method=config.estimator
+            )
+        with _stage("seasonality"):
+            # about one compute thread per core: the config.jobs years that
+            # run at once share the cores between their permutation tests
+            test = seasonality.permutation_test(
+                residuals, n_permutations=config.permutations, seed=config.seed,
+                workers=max(1, seasonality.usable_cores() // config.jobs),
+            )
 
-    year = matrix.year
-    file_names = {
-        "spectrum": f"spectrum_{year}.csv",
-        "profiles": f"profiles_{year}.csv",
-        "amplitudes": f"amplitudes_{year}.csv",
-        "probplot": f"probplot_{year}.csv",
-        "permutation_histogram": f"permutation_hist_{year}.csv",
-    }
-    report = {
-        "year": year,
-        "source": _input_name(year_input),
-        "config": config.echo(),
-        "manifest": matrix.manifest,
-        "spectrum": {
-            "sigma": [float(s) for s in decomposition.singular_values],
-            "sigma_normalized": [float(s) for s in decomposition.sigma_normalized],
-            "energy_fraction": model.energy_fraction,
-            "frobenius_error": model.frobenius_error,
-        },
-        "residuals": {
-            "n": analysis.n,
-            "trim_quantile": analysis.trim_quantile,
-            "method": analysis.method,
-            "mu_hat": analysis.mu_hat,
-            "mean_all": analysis.mean_all,
-            "cutoff": analysis.cutoff,
-            "tail_median": analysis.tail_median,
-            "n_imputed_excluded": int(residuals.imputed.sum()),
-        },
-        "seasonality": {
-            "l_observed": test.l_observed,
-            "p_value": test.p_value,
-            "n_permutations": test.n_permutations,
-            "seed": test.seed,
-            "permutation_min": test.permutation_values["min"],
-            "permutation_max": test.permutation_values["max"],
-            "permutation_mean": test.permutation_values["mean"],
-        },
-        "files": file_names,
-    }
+        year = matrix.year
+        file_names = {
+            "spectrum": f"spectrum_{year}.csv",
+            "profiles": f"profiles_{year}.csv",
+            "amplitudes": f"amplitudes_{year}.csv",
+            "probplot": f"probplot_{year}.csv",
+            "permutation_histogram": f"permutation_hist_{year}.csv",
+        }
+        report = {
+            "year": year,
+            "source": _input_name(year_input),
+            "config": config.echo(),
+            "manifest": matrix.manifest,
+            "spectrum": {
+                "sigma": [float(s) for s in decomposition.singular_values],
+                "sigma_normalized": [float(s) for s in decomposition.sigma_normalized],
+                "energy_fraction": model.energy_fraction,
+                "frobenius_error": model.frobenius_error,
+            },
+            "residuals": {
+                "n": analysis.n,
+                "trim_quantile": analysis.trim_quantile,
+                "method": analysis.method,
+                "mu_hat": analysis.mu_hat,
+                "mean_all": analysis.mean_all,
+                "cutoff": analysis.cutoff,
+                "tail_median": analysis.tail_median,
+                "n_imputed_excluded": int(residuals.imputed.sum()),
+            },
+            "seasonality": {
+                "l_observed": test.l_observed,
+                "p_value": test.p_value,
+                "n_permutations": test.n_permutations,
+                "seed": test.seed,
+                "permutation_min": test.permutation_values["min"],
+                "permutation_max": test.permutation_values["max"],
+                "permutation_mean": test.permutation_values["mean"],
+            },
+            "files": file_names,
+        }
 
-    # a value JSON cannot hold fails here, with or without out_dir, before any file is written
-    reports.json_text(report, f"year_{year}.json")
-    if config.out_dir is not None:
-        out = config.out_dir
-        reports.write_spectrum_csv(out / file_names["spectrum"], [report])
-        reports.write_profiles_csv(out / file_names["profiles"], model)
-        reports.write_amplitudes_csv(out / file_names["amplitudes"], model)
-        reports.write_probplot_csv(out / file_names["probplot"], analysis.probplot)
-        reports.write_histogram_csv(
-            out / file_names["permutation_histogram"],
-            test.permutation_values["histogram"],
-        )
-        reports.write_json(out / f"year_{year}.json", report)
-    return report
+        # a value JSON cannot hold fails here, with or without out_dir, before any file is written
+        reports.json_text(report, f"year_{year}.json")
+        if out is not None:
+            reports.write_spectrum_csv(out / file_names["spectrum"], [report])
+            reports.write_profiles_csv(out / file_names["profiles"], model)
+            reports.write_amplitudes_csv(out / file_names["amplitudes"], model)
+            reports.write_probplot_csv(out / file_names["probplot"], analysis.probplot)
+            reports.write_histogram_csv(
+                out / file_names["permutation_histogram"],
+                test.permutation_values["histogram"],
+            )
+            reports.write_json(out / f"year_{year}.json", report)
+        return report
 
 
 def trend_from_year_reports(year_reports: list[dict]) -> dict:
@@ -241,13 +261,11 @@ def trend_from_year_reports(year_reports: list[dict]) -> dict:
     }
 
 
-def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict], out_dir,
-                        staged=()) -> dict:
+def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict], out_dir) -> dict:
     """Fit the trend and build the combined report; when out_dir is set,
-    move the staged year files into it, then write trend.json, spectrum.csv
-    and (when a trend was fitted) trend.csv.  Too few years leave "trend"
-    None.  Duplicate years, and a value JSON cannot hold, raise before
-    anything is moved or written; trend.json is the last file written."""
+    publish trend.json, spectrum.csv and (when a trend was fitted) trend.csv
+    into it.  Too few years leave "trend" None.  Duplicate years, and a
+    value JSON cannot hold, raise before anything is written."""
     try:
         trend_report = trend_from_year_reports(year_reports)
     except DegenerateDesign:
@@ -260,14 +278,12 @@ def _write_trend_report(echo: dict, year_reports: list[dict], errors: list[dict]
         "year_files": {str(r["year"]): f"year_{r['year']}.json" for r in year_reports},
     }
     reports.json_text(combined, "trend.json")
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for path in staged:
-            os.replace(path, out_dir / path.name)
-        if trend_report is not None:
-            reports.write_trend_csv(out_dir / "trend.csv", trend_report)
-        reports.write_spectrum_csv(out_dir / "spectrum.csv", year_reports)
-        reports.write_json(out_dir / "trend.json", combined)
+    with _publish(out_dir) as out:
+        if out is not None:
+            if trend_report is not None:
+                reports.write_trend_csv(out / "trend.csv", trend_report)
+            reports.write_spectrum_csv(out / "spectrum.csv", year_reports)
+            reports.write_json(out / "trend.json", combined)
     return combined
 
 
@@ -279,16 +295,11 @@ def analyze_trend(config: RunConfig, year_inputs: list) -> dict:
     (a path input by its file name, any other input by its 1-based
     position, "#3").  The combined report (trend fit, or None below
     trend.MIN_YEARS analyzed years; per-year summaries; error records) is
-    written by _write_trend_report when config.out_dir is set.  The years
-    write into one staging directory inside it first, so inputs sharing a
-    year raise InputError and leave nothing of the run in config.out_dir.
+    written by _write_trend_report when config.out_dir is set, all through one
+    stage: inputs sharing a year raise InputError and leave nothing there.
     """
-    out = config.out_dir
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-    staging = nullcontext() if out is None else TemporaryDirectory(prefix=".staging-", dir=out)
-    with staging as stage:
-        own = config if out is None else replace(config, out_dir=stage)
+    with _publish(config.out_dir) as stage:
+        own = replace(config, out_dir=stage)
 
         def run_one(position: int, item) -> tuple[dict | None, dict | None]:
             try:
@@ -306,8 +317,7 @@ def analyze_trend(config: RunConfig, year_inputs: list) -> dict:
             outcomes = list(pool.map(run_one, range(1, len(year_inputs) + 1), year_inputs))
         results = [report for report, _ in outcomes if report is not None]
         errors = [error for _, error in outcomes if error is not None]
-        staged = () if out is None else sorted(own.out_dir.iterdir())
-        return _write_trend_report(config.echo(), results, errors, out, staged)
+        return _write_trend_report(config.echo(), results, errors, stage)
 
 
 # a JSON number that is a finite double: not a bool, NaN, an infinity or an int out of float range

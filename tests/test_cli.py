@@ -650,6 +650,18 @@ _INVALID_NAMES = [
     ("zone", "Mars/Olympus", "unknown time zone 'Mars/Olympus'"),
     ("out_dir", "", "out_dir must not be empty, got ''"),
 ]
+
+
+class BytesPath:
+    """An os.PathLike whose path is bytes, which a Path cannot hold."""
+
+    def __fspath__(self):
+        return b"x"
+
+    def __repr__(self):
+        return "BytesPath()"
+
+
 # values of the wrong type, which the CLI's int and float parsers cannot produce
 _INVALID_TYPES = [
     ("rank", 2.5, "rank must be an integer, got 2.5"),
@@ -664,6 +676,7 @@ _INVALID_TYPES = [
     ("dst_policy", "hold-first", "dst_policy must be a DstPolicy, got 'hold-first'"),
     ("dst_policy", None, "dst_policy must be a DstPolicy, got None"),
     ("out_dir", 5, "out_dir must be None, a str or an os.PathLike, got 5"),
+    ("out_dir", BytesPath(), "out_dir must be None, a str or an os.PathLike, got BytesPath()"),
 ]
 
 
@@ -1015,18 +1028,69 @@ def test_duplicate_years_leave_nothing_in_out(tmp_path, capsys, jobs):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_trend_stages_its_years_in_one_directory(tmp_path, monkeypatch, jobs):
     written = []
-    write_json = sv.reports.write_json
-    monkeypatch.setattr(sv.reports, "write_json",
-                        lambda path, doc: (written.append(path), write_json(path, doc)))
+    for name in ("write_json", "_write_rows"):  # every report and CSV writer
+        monkeypatch.setattr(sv.reports, name, lambda path, *rest, write=getattr(sv.reports, name):
+                            (written.append(path), write(path, *rest)))
     matrices = [sv.calendarize(sv.generate(rank2_spec(year=y, seed=y))) for y in (2014, 2015, 2016)]
     out = tmp_path / "out"
     sv.analyze_trend(RunConfig(permutations=100, zone="UTC", jobs=jobs, out_dir=out), matrices)
-    [stage] = {path.parent for path in written} - {out}
-    assert stage.parent == out and stage.name.startswith(".staging-")
-    assert sorted(path.name for path in written) == [
-        "trend.json", "year_2014.json", "year_2015.json", "year_2016.json"]
-    # the staged files were moved into out, and the staging directory is gone
-    assert not stage.exists() and len(list(out.iterdir())) == 6 * 3 + 3
+    # each year and the combined report write into their own stage inside the
+    # run's one stage in out: no file is written straight into out
+    where = [path.relative_to(out).parts for path in written]
+    assert len(where) == 6 * 3 + 3 and {len(parts) for parts in where} == {3}
+    [run_stage] = {parts[0] for parts in where}
+    assert run_stage.startswith(".staging-")
+    assert all(parts[1].startswith(".staging-") for parts in where)
+    assert len({parts[1] for parts in where}) == 3 + 1
+    # every staged file was moved into out, and no staging directory is left
+    assert sorted(p.name for p in out.iterdir()) == sorted(parts[2] for parts in where)
+    assert not list(out.rglob(".staging-*"))
+
+
+def _tree(root):
+    """Each path under root, hidden names included: a file's bytes, or None for a directory."""
+    return {p.relative_to(root).as_posix(): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
+# the command, and the name in its --out made a directory; report runs on an
+# analyze-trend run, in place with its trend.csv and spectrum.csv removed
+_CONFLICTS = [
+    ("analyze-year", "year_2016.json"),
+    ("analyze-year", "spectrum_2016.csv"),
+    ("analyze-trend --jobs 1", "trend.json"),
+    ("analyze-trend --jobs 2", "year_2016.json"),
+    ("report", "spectrum.csv"),
+    ("report --out", "trend.json"),
+]
+
+
+@pytest.mark.parametrize("command, target", _CONFLICTS, ids=[f"{c} {t}" for c, t in _CONFLICTS])
+def test_a_directory_at_a_target_name_leaves_out_as_it_was(tmp_path, capsys, command, target):
+    files = [str(make_year_csv(tmp_path, year, mu, seed))
+             for year, mu, seed in ((2014, 4.0, 1), (2015, 3.0, 2), (2016, 2.0, 3))]
+    flags = ["--zone", "UTC", "--permutations", "100"]
+    name, *rest = command.split()
+    out = tmp_path / "out"
+    if name == "analyze-year":
+        argv = [name, files[-1], *flags, "--out", str(out)]
+    elif name == "analyze-trend":
+        argv = [name, *files, *flags, *rest, "--out", str(out)]
+    else:
+        run = tmp_path / "run"
+        assert main(["analyze-trend", *files, *flags, "--out", str(run)]) == 0
+        if rest:
+            argv = [name, str(run), "--out", str(out)]
+        else:
+            out, argv = run, [name, str(run)]
+            for made in ("trend.csv", "spectrum.csv"):
+                (run / made).unlink()
+    (out / target).mkdir(parents=True)
+    before = _tree(out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out / target}: it is a directory\n"
+    assert _tree(out) == before
 
 
 @pytest.mark.parametrize("command", ["synth", "analyze-year", "analyze-trend"])

@@ -13,9 +13,11 @@ relative paths, so the manifests of two trees compare directly:
 The manifest holds the sha256 of every file left in the work directory
 (inputs and outputs) and each command's argv, exit code, stdout and
 stderr; a stream longer than STREAM_LIMIT characters is kept as its
-sha256.  The last bits of a float depend on the BLAS build, so compare
-manifests made on one machine only; the manifest's "environment" names
-the Python, numpy and BLAS the commands ran with.
+sha256.  A .staging-* directory left anywhere in the work directory ends
+the harness with an error and no manifest.  The last bits of a float
+depend on the BLAS build, so compare manifests made on one machine only;
+the manifest's "environment" names the Python, numpy and BLAS the
+commands ran with.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ COMMANDS = [
     ["analyze-trend", *TRENDS[1:], "overflow_2016.csv", *UTC, "--out", "trend_overflow"],
     # two 2016s that both succeed are duplicates: the run leaves no file in its --out
     ["analyze-trend", *TRENDS[1:], TRENDS[-1], *UTC, "--jobs", "2", "--out", "trend_duplicate"],
+    # a directory where the year report goes: the run fails and leaves no file in its --out
+    ["analyze-year", "prices_2016.csv", *UTC, "--out", "year_conflict"],
     # an integer past Python's 4,300-digit limit is a read error naming its file
     ["synth", "spec_huge_seed.json", "--out", "prices_huge_seed.csv"],
     ["report", "report_huge_mu"],
@@ -237,6 +241,7 @@ def hour_ending_rows(year: int) -> list[str]:
 
 
 def write_inputs(work: Path) -> None:
+    (work / "year_conflict" / "year_2016.json").mkdir(parents=True)
     for year in YEARS:
         (work / f"spec_{year}.json").write_text(json.dumps(spec(year)), encoding="utf-8")
     (work / "spec_huge_seed.json").write_text(
@@ -304,6 +309,9 @@ def manifest(src: Path) -> dict:
                 shutil.copytree(work / source, work / argv[1])
                 edit(work / argv[1])
             commands.append(run(argv, work, env))
+        left = [path.relative_to(work).as_posix() for path in sorted(work.rglob(".staging-*"))]
+        if left:
+            raise SystemExit(f"staging directories left behind: {', '.join(left)}")
         files = {
             path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(work.rglob("*")) if path.is_file()
