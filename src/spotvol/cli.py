@@ -210,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_dir_flag(p, "output directory")
     p.add_argument(
         "--jobs", type=int, default=defaults.jobs,
-        help="years analyzed at once; each year's permutation test runs on the cores"
-        f" left over, cores // JOBS but at least 1 (default: {defaults.jobs})",
+        help="years analyzed at once; each year's permutation test runs on every"
+        f" usable core (default: {defaults.jobs})",
     )
     _add_ingest_flags(p, defaults)
     _add_analysis_flags(p, defaults)

@@ -78,7 +78,7 @@ class RunConfig:
             "gap_limit": (self.gap_limit >= 0, "be >= 0"),
             "input_format": (self.input_format in FORMATS, f"be one of {FORMATS}"),
             "jobs": (self.jobs >= 1, "be >= 1"),
-            "out_dir": (self.out_dir != "", "not be empty"),
+            "out_dir": (self.out_dir is None or os.fspath(self.out_dir) != "", "not be empty"),
         }
         for name, (ok, rule) in rules.items():
             if not ok:
@@ -169,11 +169,8 @@ def analyze_year(config: RunConfig, year_input) -> dict:
                 residuals, q=config.trim, method=config.estimator
             )
         with _stage("seasonality"):
-            # about one compute thread per core: the config.jobs years that
-            # run at once share the cores between their permutation tests
             test = seasonality.permutation_test(
-                residuals, n_permutations=config.permutations, seed=config.seed,
-                workers=max(1, seasonality.usable_cores() // config.jobs),
+                residuals, n_permutations=config.permutations, seed=config.seed
             )
 
         year = matrix.year

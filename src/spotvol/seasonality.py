@@ -106,7 +106,6 @@ def permutation_test(
     residuals: ResidualSeries | np.ndarray,
     n_permutations: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
-    workers: int | None = None,
 ) -> SeasonalityTest:
     """One-sided permutation test of seasonal volatility concentration.
 
@@ -114,21 +113,17 @@ def permutation_test(
     temporal order (calendar-filled cells carry their interpolated
     values, keeping the midyear pivot h_m = n/2 intact).  Permutation i
     shuffles the absolute residuals across hour slots with
-    default_rng((seed, i)) (see null_samples), so the result is
-    independent of execution order and of `workers` (default:
-    usable_cores()).
+    default_rng((seed, i)) on one of usable_cores() threads (see
+    null_samples), so the result is independent of execution order and
+    of the core count.
     """
     if n_permutations < MIN_PERMUTATIONS:
         raise TooFewPermutations(
             f"need at least {MIN_PERMUTATIONS} permutations, got {n_permutations}"
         )
     r, w = _abs_and_weights(residuals)
-    workers = usable_cores() if workers is None else workers
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
     l_obs = float(r @ w)
-    samples = null_samples(r, w, seed, n_permutations, workers)
+    samples = null_samples(r, w, seed, n_permutations, usable_cores())
     exceed = int(np.count_nonzero(samples >= l_obs))
     p_value = (exceed + 1) / (n_permutations + 1)
 

@@ -160,6 +160,29 @@ def test_analyze_trend_jobs_parallel_matches_serial(tmp_path):
         ).read_bytes()
 
 
+def test_every_year_of_a_parallel_trend_draws_on_every_core(tmp_path, monkeypatch):
+    # --jobs sets how many years run at once, not how many threads a year's
+    # permutation test draws on: each test takes usable_cores(), whatever jobs is
+    draw, threads = sv.seasonality.null_samples, []
+
+    def counted(r, w, seed, n, workers):
+        threads.append(workers)
+        return draw(r, w, seed, n, workers)
+
+    monkeypatch.setattr(sv.seasonality, "usable_cores", lambda: 4)
+    monkeypatch.setattr(sv.seasonality, "null_samples", counted)
+    matrices = [sv.calendarize(sv.generate(rank2_spec(year=y, seed=y))) for y in (2014, 2015, 2016)]
+    runs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
+    combined = {jobs: sv.analyze_trend(RunConfig(permutations=100, zone="UTC", jobs=jobs,
+                                                 out_dir=out), matrices)
+                for jobs, out in runs.items()}
+    assert threads == [4] * 6
+    assert combined[2] == combined[1]
+    for year in (2014, 2015, 2016):
+        name = f"year_{year}.json"
+        assert (runs[2] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
 def test_analyze_trend_single_bad_year_degrades(tmp_path, capsys):
     files = [
         str(make_year_csv(tmp_path, year, mu, seed))
@@ -644,11 +667,24 @@ _INVALID_CONFIG = [
     ("gap_limit", -1, "gap_limit must be >= 0, got -1"),
     ("jobs", 0, "jobs must be >= 1, got 0"),
 ]
+
+
+class EmptyPath:
+    """An os.PathLike whose path is empty, which Path would take for the working directory."""
+
+    def __fspath__(self):
+        return ""
+
+    def __repr__(self):
+        return "EmptyPath()"
+
+
 _INVALID_NAMES = [
     ("estimator", "mle", "estimator must be one of ('trimmed', 'censored'), got 'mle'"),
     ("input_format", "csv", "input_format must be one of ('long', 'wide'), got 'csv'"),
     ("zone", "Mars/Olympus", "unknown time zone 'Mars/Olympus'"),
     ("out_dir", "", "out_dir must not be empty, got ''"),
+    ("out_dir", EmptyPath(), "out_dir must not be empty, got EmptyPath()"),
 ]
 
 

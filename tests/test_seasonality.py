@@ -130,26 +130,40 @@ def _reference_samples(r, n_permutations, seed):
     ])
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, None])
+# thread counts for the permutation test; None is this machine's usable_cores()
+THREAD_COUNTS = [1, 2, 3, None]
+USABLE_CORES = seasonality.usable_cores
+
+
+def cores(monkeypatch, count):
+    """Make the permutation test draw on count threads, as usable_cores() sets it."""
+    monkeypatch.setattr(seasonality, "usable_cores",
+                        USABLE_CORES if count is None else lambda: count)
+
+
+@pytest.mark.parametrize("workers", THREAD_COUNTS)
 @pytest.mark.parametrize("n_permutations", [101, 250])
-def test_samples_do_not_depend_on_workers(workers, n_permutations):
+def test_samples_do_not_depend_on_workers(monkeypatch, workers, n_permutations):
+    cores(monkeypatch, workers)
     r = np.random.default_rng(8).normal(0.0, 2.0, 2000)
     before = r.copy()
     for seed in (0, 5, 123):
-        test = sv.permutation_test(r, n_permutations, seed=seed, workers=workers)
+        test = sv.permutation_test(r, n_permutations, seed=seed)
         assert np.array_equal(test.samples, _reference_samples(r, n_permutations, seed))
     assert np.array_equal(r, before)
 
 
-def test_samples_match_reference_in_every_cache_state():
+def test_samples_match_reference_in_every_cache_state(monkeypatch):
     r = np.random.default_rng(3).normal(0.0, 2.0, 1500)
     n = 120
     cache = seasonality._seeded_states
     cache.cache_clear()
 
     def check(seed):
-        test = sv.permutation_test(r, n, seed=seed, workers=2)
-        assert np.array_equal(test.samples, _reference_samples(r, n, seed))
+        expected = _reference_samples(r, n, seed)
+        for count in THREAD_COUNTS:
+            cores(monkeypatch, count)
+            assert np.array_equal(sv.permutation_test(r, n, seed=seed).samples, expected)
 
     check(4)
     assert cache.cache_info().misses == 1  # cold
@@ -168,13 +182,15 @@ def test_samples_match_reference_in_every_cache_state():
 
 
 @pytest.mark.parametrize("seed", [2**32, 2**40 + 3, 2**64 + 7])
-def test_seeded_states_match_numpy_for_multi_word_seeds(seed):
+def test_seeded_states_match_numpy_for_multi_word_seeds(monkeypatch, seed):
     n = 101
     fresh = tuple(np.random.PCG64((seed, i)).state for i in range(n))
     assert seasonality._seeded_states(seed, n) == fresh
     # the draws only read the cached states
-    sv.permutation_test(np.arange(500.0), n, seed=seed, workers=3)
-    assert seasonality._seeded_states(seed, n) == fresh
+    for count in THREAD_COUNTS:
+        cores(monkeypatch, count)
+        sv.permutation_test(np.arange(500.0), n, seed=seed)
+        assert seasonality._seeded_states(seed, n) == fresh
 
 
 @pytest.mark.parametrize("seed, n, workers", [
@@ -197,11 +213,6 @@ def test_shuffle_streams_match_golden():
         [9, 1, 3, 8, 7, 6, 0, 4, 2, 5],
         [8, 2, 1, 0, 5, 6, 7, 4, 3, 9],
     ]
-
-
-def test_workers_below_one_rejected():
-    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
-        sv.permutation_test(np.ones(100), 100, workers=0)
 
 
 @pytest.mark.parametrize("series_seed", [1, 2, 3])
