@@ -41,15 +41,11 @@ def _dst_policy(text: str) -> DstPolicy:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _non_empty(what: str):
-    """argparse type: a non-empty path."""
-
-    def parse(text: str) -> str:
-        if not text:
-            raise argparse.ArgumentTypeError(f"{what} must not be empty")
-        return text
-
-    return parse
+def _output_file(text: str) -> str:
+    """argparse type: a non-empty output path."""
+    if not text:
+        raise argparse.ArgumentTypeError("output file must not be empty")
+    return text
 
 
 def _add_out_dir_flag(parser: argparse.ArgumentParser, text: str, required: bool = True):
@@ -219,9 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic year from a JSON spec")
     p.add_argument("spec", help="synthetic-year spec (JSON)")
-    p.add_argument(
-        "--out", type=_non_empty("output file"), help="output CSV path (default: stdout)"
-    )
+    p.add_argument("--out", type=_output_file, help="output CSV path (default: stdout)")
     p.set_defaults(func=_cmd_synth, parser=p)
 
     p = sub.add_parser("report", help="rebuild trend report from year_<Y>.json files")

@@ -72,17 +72,17 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def null_samples(r: np.ndarray, w: np.ndarray, seed: int, n: int, workers: int) -> np.ndarray:
+def null_samples(r: np.ndarray, w: np.ndarray, seed: int, n: int) -> np.ndarray:
     """r[default_rng((seed, i)).permutation(r.size)] @ w for i < n, bit for bit.
 
-    Thread k of min(workers, n) takes the draws k, k + threads, ...; numpy's
-    shuffle releases the GIL, and the samples do not depend on the thread
-    count.  Each draw's seeded starting state is computed once per
+    Thread k of min(usable_cores(), n) takes the draws k, k + threads, ...;
+    numpy's shuffle releases the GIL, and the samples do not depend on the
+    thread count.  Each draw's seeded starting state is computed once per
     (seed, n) in a process and reused.  r is not modified.
     """
     samples = np.empty(n)
     states = _seeded_states(seed, n)
-    threads = min(workers, n)
+    threads = min(usable_cores(), n)
 
     def fill(k: int) -> None:
         # one generator and one buffer per thread.  A draw resets the generator
@@ -123,7 +123,7 @@ def permutation_test(
         )
     r, w = _abs_and_weights(residuals)
     l_obs = float(r @ w)
-    samples = null_samples(r, w, seed, n_permutations, usable_cores())
+    samples = null_samples(r, w, seed, n_permutations)
     exceed = int(np.count_nonzero(samples >= l_obs))
     p_value = (exceed + 1) / (n_permutations + 1)
 

@@ -162,15 +162,15 @@ def test_analyze_trend_jobs_parallel_matches_serial(tmp_path):
 
 def test_every_year_of_a_parallel_trend_draws_on_every_core(tmp_path, monkeypatch):
     # --jobs sets how many years run at once, not how many threads a year's
-    # permutation test draws on: each test takes usable_cores(), whatever jobs is
-    draw, threads = sv.seasonality.null_samples, []
+    # permutation test draws on: each test opens usable_cores() threads, whatever jobs is
+    pool, threads = sv.seasonality.ThreadPoolExecutor, []
 
-    def counted(r, w, seed, n, workers):
-        threads.append(workers)
-        return draw(r, w, seed, n, workers)
+    def counted(max_workers):
+        threads.append(max_workers)
+        return pool(max_workers=max_workers)
 
     monkeypatch.setattr(sv.seasonality, "usable_cores", lambda: 4)
-    monkeypatch.setattr(sv.seasonality, "null_samples", counted)
+    monkeypatch.setattr(sv.seasonality, "ThreadPoolExecutor", counted)
     matrices = [sv.calendarize(sv.generate(rank2_spec(year=y, seed=y))) for y in (2014, 2015, 2016)]
     runs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
     combined = {jobs: sv.analyze_trend(RunConfig(permutations=100, zone="UTC", jobs=jobs,
@@ -1081,6 +1081,41 @@ def test_a_trend_stages_its_years_in_one_directory(tmp_path, monkeypatch, jobs):
     # every staged file was moved into out, and no staging directory is left
     assert sorted(p.name for p in out.iterdir()) == sorted(parts[2] for parts in where)
     assert not list(out.rglob(".staging-*"))
+
+
+# how each file a run publishes is ranked: a reader who sees trend.json sees the whole run
+_PUBLISH_ORDER = ["csv", "year", "trend"]
+
+
+@pytest.mark.parametrize("run", ["analyze_year", "analyze_trend 1", "analyze_trend 2",
+                                 "assemble_report"])
+def test_a_run_moves_its_csvs_then_its_year_reports_then_trend_json_into_out(
+        tmp_path, monkeypatch, run):
+    matrices = [sv.calendarize(sv.generate(rank2_spec(year=y, seed=y))) for y in (2014, 2015, 2016)]
+    out = tmp_path / "out"
+    config = RunConfig(permutations=100, zone="UTC", out_dir=out)
+    if run == "assemble_report":
+        sv.analyze_trend(config, matrices)
+    moved, move = [], os.replace
+
+    def spied(src, dst):
+        if Path(dst).parent == out:
+            moved.append(Path(dst).name)
+        move(src, dst)
+
+    monkeypatch.setattr(os, "replace", spied)
+    if run == "analyze_year":
+        sv.analyze_year(config, matrices[-1])
+    elif run == "assemble_report":
+        sv.assemble_report(RunConfig(), out)
+    else:
+        sv.analyze_trend(replace(config, jobs=int(run.split()[1])), matrices)
+    kinds = ["csv" if name.endswith(".csv") else "trend" if name == "trend.json" else "year"
+             for name in moved]
+    assert kinds == sorted(kinds, key=_PUBLISH_ORDER.index)
+    assert set(kinds) == {"analyze_year": {"csv", "year"},
+                          "assemble_report": {"csv", "trend"}}.get(run, set(_PUBLISH_ORDER))
+    assert all((out / name).is_file() for name in moved)
 
 
 def _tree(root):

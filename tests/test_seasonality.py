@@ -141,15 +141,24 @@ def cores(monkeypatch, count):
                         USABLE_CORES if count is None else lambda: count)
 
 
-@pytest.mark.parametrize("workers", THREAD_COUNTS)
-@pytest.mark.parametrize("n_permutations", [101, 250])
-def test_samples_do_not_depend_on_workers(monkeypatch, workers, n_permutations):
+# (thread count, draws, seeds): every count at two draw counts, then a seed
+# numpy hashes into three words and more threads than draws
+SAMPLE_CASES = [
+    *(pytest.param(count, n, (0, 5, 123), id=f"{n}-{count}")
+      for n in (101, 250) for count in THREAD_COUNTS),
+    pytest.param(2, 120, (2**64 + 7,), id="three-word-seed"),
+    pytest.param(300, 101, (6,), id="more-workers-than-draws"),
+]
+
+
+@pytest.mark.parametrize("workers, n_permutations, seeds", SAMPLE_CASES)
+def test_samples_do_not_depend_on_workers(monkeypatch, workers, n_permutations, seeds):
     cores(monkeypatch, workers)
-    r = np.random.default_rng(8).normal(0.0, 2.0, 2000)
+    r, w = seasonality._abs_and_weights(np.random.default_rng(8).normal(0.0, 2.0, 2000))
     before = r.copy()
-    for seed in (0, 5, 123):
-        test = sv.permutation_test(r, n_permutations, seed=seed)
-        assert np.array_equal(test.samples, _reference_samples(r, n_permutations, seed))
+    for seed in seeds:
+        samples = seasonality.null_samples(r, w, seed, n_permutations)
+        assert np.array_equal(samples, _reference_samples(r, n_permutations, seed))
     assert np.array_equal(r, before)
 
 
@@ -191,18 +200,6 @@ def test_seeded_states_match_numpy_for_multi_word_seeds(monkeypatch, seed):
         cores(monkeypatch, count)
         sv.permutation_test(np.arange(500.0), n, seed=seed)
         assert seasonality._seeded_states(seed, n) == fresh
-
-
-@pytest.mark.parametrize("seed, n, workers", [
-    pytest.param(2**64 + 7, 120, 2, id="three-word-seed"),
-    pytest.param(6, 101, 300, id="more-workers-than-draws"),
-])
-def test_null_samples_match_reference(seed, n, workers):
-    r, w = seasonality._abs_and_weights(np.random.default_rng(6).normal(0.0, 2.0, 1000))
-    before = r.copy()
-    samples = seasonality.null_samples(r, w, seed, n, workers)
-    assert np.array_equal(samples, _reference_samples(r, n, seed))
-    assert np.array_equal(r, before)
 
 
 def test_shuffle_streams_match_golden():
