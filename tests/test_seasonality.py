@@ -1,11 +1,13 @@
 """Angular-momentum statistic L, its null draws and its seeded permutation test."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 import spotvol as sv
-from spotvol import EmptySeries, ResidualSeries, TooFewPermutations, seasonality
+from spotvol import AnalysisError, EmptySeries, ResidualSeries, TooFewPermutations, seasonality
 
 
 def statistic(residuals):
@@ -162,44 +164,71 @@ def test_samples_do_not_depend_on_workers(monkeypatch, workers, n_permutations, 
     assert np.array_equal(r, before)
 
 
-def test_samples_match_reference_in_every_cache_state(monkeypatch):
+def numpy_states(seed, draws):
+    return [np.random.PCG64((seed, i)).state for i in draws]
+
+
+def test_samples_and_states_match_numpy_on_every_call(monkeypatch):
+    # nothing is kept between calls: a seed drawn again, after others, draws alike
     r = np.random.default_rng(3).normal(0.0, 2.0, 1500)
     n = 120
-    cache = seasonality._seeded_states
-    cache.cache_clear()
-
-    def check(seed):
+    for seed in (4, 10, 11, 12, 4, 2**40 + 3):
         expected = _reference_samples(r, n, seed)
         for count in THREAD_COUNTS:
             cores(monkeypatch, count)
             assert np.array_equal(sv.permutation_test(r, n, seed=seed).samples, expected)
-
-    check(4)
-    assert cache.cache_info().misses == 1  # cold
-    states = cache(4, n)
-    check(4)
-    assert cache.cache_info().misses == 1  # warm
-    # a call reads the cached states and leaves them as PCG64 seeds them
-    assert cache(4, n) is states
-    assert states == tuple(np.random.PCG64((4, i)).state for i in range(n))
-    for seed in range(10, 11 + cache.cache_info().maxsize):
-        check(seed)
-    misses = cache.cache_info().misses
-    check(4)
-    assert cache.cache_info().misses == misses + 1  # evicted, seeded again
-    check(2**40 + 3)
+        assert list(seasonality._pcg64_states(seed, range(n))) == numpy_states(seed, range(n))
 
 
-@pytest.mark.parametrize("seed", [2**32, 2**40 + 3, 2**64 + 7])
-def test_seeded_states_match_numpy_for_multi_word_seeds(monkeypatch, seed):
-    n = 101
-    fresh = tuple(np.random.PCG64((seed, i)).state for i in range(n))
-    assert seasonality._seeded_states(seed, n) == fresh
-    # the draws only read the cached states
-    for count in THREAD_COUNTS:
-        cores(monkeypatch, count)
-        sv.permutation_test(np.arange(500.0), n, seed=seed)
-        assert seasonality._seeded_states(seed, n) == fresh
+# one-word seeds, then seeds numpy hashes into two, three and seven words
+@pytest.mark.parametrize("seed", [0, 1, 5, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 7, 2**200 + 1])
+def test_seeded_states_match_numpy_for_multi_word_seeds(seed):
+    for n in (1, 100, 101, 1000):
+        assert list(seasonality._pcg64_states(seed, range(n))) == numpy_states(seed, range(n))
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 7, 2**96 + 1])
+def test_seeded_states_match_numpy_where_an_index_takes_two_words(seed):
+    # from 2**32 on, numpy hashes i as two entropy words; a block may hold both kinds
+    for draws in (range(2**32 - 3, 2**32 + 3), range(2**32 - 5, 2**40, 2**37 + 1)):
+        assert list(seasonality._pcg64_states(seed, draws)) == numpy_states(seed, draws)
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (True, 1), (np.int64(3), 3), (np.uint64(2**63 + 5), 2**63 + 5),
+    (-1, ValueError), (np.int64(-1), ValueError),
+    (1.5, TypeError), (None, TypeError), ("3", TypeError),
+])
+def test_a_seed_is_a_non_negative_integer(seed, expected):
+    r = np.random.default_rng(9).normal(0.0, 2.0, 300)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            sv.permutation_test(r, 101, seed=seed)
+        return
+    assert list(seasonality._pcg64_states(seed, range(101))) == numpy_states(expected, range(101))
+    assert np.array_equal(sv.permutation_test(r, 101, seed=seed).samples,
+                          _reference_samples(r, 101, expected))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_residuals_rejected_before_any_draw(monkeypatch, bad):
+    monkeypatch.setattr(seasonality, "null_samples", None)
+    values = np.ones(300)
+    values[[17, 40]] = bad, np.nan
+    with pytest.raises(AnalysisError, match=f"^residual 17 of 300 is not finite: {bad}$"):
+        sv.permutation_test(values, 100)
+
+
+def test_a_permutation_test_keeps_no_memory_once_it_returns():
+    r = np.random.default_rng(5).normal(0.0, 2.0, 200)
+    tracemalloc.start()
+    try:
+        sv.permutation_test(r, 50_000, seed=7)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    assert retained < 1_000_000
 
 
 def test_shuffle_streams_match_golden():

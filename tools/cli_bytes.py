@@ -53,6 +53,9 @@ COMMANDS = [
     # a seed wider than one 32-bit entropy word (2**40 + 3)
     ["analyze-year", "prices_2016.csv", *UTC, "--seed", "1099511627779", "--permutations", "100",
      "--out", "year_wide_seed"],
+    # a seed of three entropy words (2**64 + 7); 101 draws do not divide among the threads
+    ["analyze-year", "prices_2016.csv", *UTC, "--seed", "18446744073709551623",
+     "--permutations", "101", "--out", "year_three_word_seed"],
     ["analyze-trend", *TRENDS, *UTC, "--jobs", "1", "--out", "trend_jobs1"],
     ["analyze-trend", *TRENDS, *UTC, "--jobs", "2", "--out", "trend_jobs2"],
     ["analyze-trend", *TRENDS[:3], "malformed.csv", *UTC, "--jobs", "2", "--out", "trend_malformed"],
