@@ -443,29 +443,21 @@ def calendarize(
         flat[ordered[seconds]] = ordered_values[seconds]
 
     imputed = np.isnan(flat)
-    edges = np.diff(imputed.astype(np.int8), prepend=0, append=0)
-    skipped_before = np.r_[0, np.cumsum(skipped)]
-    spring_filled = gap_hours = 0
-    # each run of missing slots [lo, end), filled from its observed neighbours
-    for lo, end in zip(np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()):
-        length = end - lo
-        spring_slots = int(skipped_before[end] - skipped_before[lo])
-        effective = length - spring_slots
-        if effective > gap_limit:
-            raise GapTooLong(iso_hour(start + lo), effective)
-
-        if length == 1 and spring_slots and policy.spring == "hold" and lo > 0:
-            flat[lo] = flat[lo - 1]
-        elif lo == 0:
-            flat[:end] = flat[end]
-        elif end == n:
-            flat[lo:] = flat[lo - 1]
-        else:
-            left, right = flat[lo - 1], flat[end]
-            steps = np.arange(1, length + 1, dtype=float) / (length + 1)
-            flat[lo:end] = left + steps * (right - left)
-        spring_filled += spring_slots
-        gap_hours += effective
+    # the runs [lo, end) of missing slots, each between observed slots lo - 1 and end
+    lo, end = np.flatnonzero(np.diff(imputed, prepend=False, append=False)).reshape(-1, 2).T
+    run = np.repeat(np.arange(lo.size), end - lo)
+    slot, a, b = np.flatnonzero(imputed), lo[run] - 1, end[run]
+    spring = np.bincount(run[skipped[slot]], minlength=lo.size)
+    gaps = end - lo - spring
+    over = np.flatnonzero(gaps > gap_limit)
+    if over.size:
+        raise GapTooLong(iso_hour(start + lo[over[0]]), int(gaps[over[0]]))
+    # a leading run takes its right neighbour, a trailing run or a held spring hour its left
+    held = (a >= 0) & ((b == n) | ((end - lo == 1) & (spring == 1) & (policy.spring == "hold"))[run])
+    flat[slot] = flat[np.where(held, a, b)]
+    line = (a >= 0) & ~held
+    slot, a, b = slot[line], a[line], b[line]
+    flat[slot] = flat[a] + (slot - a) / (b - a) * (flat[b] - flat[a])
 
     values = flat.reshape((n_days, HOURS_PER_DAY)).T
     imputed = imputed.reshape((n_days, HOURS_PER_DAY)).T
@@ -478,9 +470,9 @@ def calendarize(
         "n_observed": int(n - imputed.sum()),
         "n_imputed": int(imputed.sum()),
         "n_missing_input": int(imputed.sum()),
-        "n_dst_spring_filled": spring_filled,
+        "n_dst_spring_filled": int(spring.sum()),
         "n_dst_fall_collapsed": int(seconds.size),
-        "gap_hours_filled": gap_hours,
+        "gap_hours_filled": int(gaps.sum()),
         "policy": {"spring": policy.spring, "fall": policy.fall, "gap_limit": int(gap_limit)},
     }
     return DayMatrix(values, imputed, year, manifest)

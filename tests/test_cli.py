@@ -1008,6 +1008,26 @@ def test_report_writes_nothing_when_the_report_cannot_be_serialized(tmp_path, ca
         assert _files(directory) == before
 
 
+@pytest.mark.parametrize("years, mangle", [
+    pytest.param((2014, 2015, 2016), _set("config", "trim_quantile", float("nan")),
+                 id="nan-config"),
+    pytest.param((2015,), _drop("residuals", "mu_hat"), id="malformed-year"),
+])
+def test_report_creates_a_new_out_only_after_its_checks_pass(tmp_path, capsys, years, mangle):
+    run = tmp_path / "run"
+    _fake_year_reports(run)
+    for year in years:
+        path = run / f"year_{year}.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        mangle(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    new = tmp_path / "new"
+    assert main(["report", str(run), "--out", str(new)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not new.exists()
+
+
 def test_report_of_a_too_deeply_nested_trend_report_is_an_input_error(tmp_path, capsys):
     run = tmp_path / "run"
     _fake_year_reports(run)

@@ -61,6 +61,11 @@ def test_first_difference_names_what_differs():
         " '0.0')}")
     assert REGENERATE in first_difference(golden, edited)
     edited = json.loads(json.dumps(golden))
+    edited["environment"]["blas_core"] = "Haswell"
+    assert first_difference(golden, edited).startswith(
+        "the environment differs (golden, here):"
+        f" {{'blas_core': ({golden['environment']['blas_core']!r}, 'Haswell')}}")
+    edited = json.loads(json.dumps(golden))
     edited["commands"][5]["stdout"] += "x"
     assert first_difference(golden, edited).startswith(f"command {golden['commands'][5]['argv']}")
     edited = json.loads(json.dumps(golden))

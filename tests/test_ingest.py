@@ -433,7 +433,7 @@ def test_spring_forward_interpolation_and_hold():
     day = (datetime(2016, 3, 27) - datetime(2016, 1, 1)).days
     interp = sv.calendarize(series, policy=DstPolicy(spring="interpolate"))
     left, right = interp.values[1, day], interp.values[3, day]
-    assert interp.values[2, day] == pytest.approx((left + right) / 2)
+    assert interp.values[2, day] == left + (1 / 2) * (right - left)
     held = sv.calendarize(series, policy=DstPolicy(spring="hold"))
     assert held.values[2, day] == held.values[1, day]
 
@@ -460,9 +460,34 @@ def test_gap_interpolated_and_flagged():
     day = (datetime(2016, 6, 15) - datetime(2016, 1, 1)).days
     assert matrix.imputed[5, day] and matrix.imputed[6, day]
     left, right = matrix.values[4, day], matrix.values[7, day]
-    assert matrix.values[5, day] == pytest.approx(left + (right - left) / 3)
-    assert matrix.values[6, day] == pytest.approx(left + 2 * (right - left) / 3)
+    assert matrix.values[5, day] == left + (1 / 3) * (right - left)
+    assert matrix.values[6, day] == left + (2 / 3) * (right - left)
     assert matrix.manifest["gap_hours_filled"] == 2
+
+
+def utc_leap_year(keep):
+    """A UTC 2016 series of seeded prices at the hours of the year ``keep`` picks."""
+    hours = epoch_hours("2016-01-01T00") + np.arange(8784)
+    prices = np.random.default_rng(5).normal(40.0, 15.0, hours.size)
+    return sv.PriceSeries(hours[keep], prices[keep], zone="UTC")
+
+
+def test_every_other_hour_missing_is_filled_run_by_run():
+    matrix = sv.calendarize(utc_leap_year(slice(0, None, 2)))
+    flat = matrix.values.ravel(order="F")
+    left, right = flat[0:-2:2], flat[2::2]
+    assert np.array_equal(flat[1:-1:2], left + 0.5 * (right - left))
+    assert flat[8783] == flat[8782]
+    assert matrix.imputed.ravel(order="F")[1::2].all()
+    assert matrix.manifest["gap_hours_filled"] == 4392
+
+
+def test_the_first_gap_over_the_limit_is_named():
+    # the later gap is the longer one
+    absent = np.r_[100:110, 5000:5020]
+    with pytest.raises(GapTooLong) as info:
+        sv.calendarize(utc_leap_year(np.setdiff1d(np.arange(8784), absent)))
+    assert (info.value.start, info.value.length) == ("2016-01-05T04:00:00", 10)
 
 
 def test_gap_longer_than_limit_rejected():

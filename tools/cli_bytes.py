@@ -15,9 +15,10 @@ The manifest holds the sha256 of every file left in the work directory
 stderr; a stream longer than STREAM_LIMIT characters is kept as its
 sha256.  A .staging-* directory left anywhere in the work directory ends
 the harness with an error and no manifest.  The last bits of a float
-depend on the BLAS build, so compare manifests made on one machine only;
-the manifest's "environment" names the Python, numpy and BLAS the
-commands ran with.
+depend on the BLAS build and on the kernels it runs, so compare manifests
+made on one machine only; the manifest's "environment" names the Python,
+numpy and BLAS the commands ran with, and the OpenBLAS core (null when no
+OpenBLAS is found).
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ COMMANDS = [
     # the wide parser: blank cells, a padded cell and a blank line
     ["ingest-check", "berlin_wide_2016.csv", *WIDE],
     ["analyze-year", "berlin_wide_2016.csv", *WIDE, "--permutations", "200", "--out", "year_wide"],
+    # a UTC year of even hours only: 4,392 one-hour gaps, the last one at the year's end
+    ["ingest-check", "alternate_2016.csv", *UTC],
+    ["analyze-year", "alternate_2016.csv", *UTC, "--permutations", "100", "--out", "year_alternate"],
     ["report", "trend_jobs1", "--out", "report_out"],
     # in place, on a copy of a run with a failed year
     ["report", "report_in_place"],
@@ -113,12 +117,20 @@ COMMANDS = [
     ["report", "report_huge_mu"],
 ]
 
-# run with the commands' interpreter: where spotvol comes from, and the environment
+# run with the commands' interpreter: where spotvol comes from, and the environment,
+# with the core (kernel set) numpy's OpenBLAS picked for this CPU when it loaded
 ENVIRONMENT = """\
-import json, platform, numpy, spotvol
+import ctypes, json, pathlib, platform, numpy, spotvol
 blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+core = None
+for lib in sorted(pathlib.Path(numpy.__file__).parent.with_name("numpy.libs").glob("*openblas*")):
+    corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+    if corename is not None:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
 print(json.dumps({"spotvol": spotvol.__file__, "python": platform.python_version(),
-                  "numpy": numpy.__version__, "blas": f"{blas['name']} {blas['version']}"}))
+                  "numpy": numpy.__version__, "blas": f"{blas['name']} {blas['version']}",
+                  "blas_core": core}))
 """
 
 # the raw text of an integer json cannot read: 5,000 digits
@@ -263,6 +275,7 @@ def write_inputs(work: Path) -> None:
         mixed = mixed.replace("2016-10-30T02:00:00,", f"2016-10-30T02:00:00{offset},", 1)
     (work / "berlin_mixed_2016.csv").write_text(mixed, encoding="utf-8")
     rows = utc_year_rows(2016)
+    alternate = rows[::2]  # even hours, before data row 4998 is edited
     zulu = [row.replace(",", "Z,") for row in rows]
     overflow = [row.partition(",")[0] + ",1e308" if i in (99, 100) else row
                 for i, row in enumerate(rows)]  # data rows 100 and 101
@@ -270,7 +283,8 @@ def write_inputs(work: Path) -> None:
     sparse = sparse_rows(berlin_year_csv(2016))
     new_york = utc_stamped_rows(2016, "America/New_York")
     kiritimati = utc_stamped_rows(2016, "Pacific/Kiritimati")
-    for name, body in (("zulu_2016.csv", zulu), ("overflow_2016.csv", overflow),
+    for name, body in (("alternate_2016.csv", alternate), ("zulu_2016.csv", zulu),
+                       ("overflow_2016.csv", overflow),
                        ("half_hour_2016.csv", rows),
                        ("berlin_sparse_2016.csv", sparse), ("new_york_utc_2016.csv", new_york),
                        ("kiritimati_utc_2016.csv", kiritimati),
