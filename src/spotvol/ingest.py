@@ -221,8 +221,8 @@ _STAMPS = [
     )
 ]
 _PRICE_BYTES = np.zeros(256, dtype=bool)
-_PRICE_BYTES[[0, *b"0123456789+-.eE"]] = True  # 0 pads a short row
-_LONGEST_ROW = _STAMPS[1][0].size + len(f"{-sys.float_info.max:.6f}")
+_PRICE_BYTES[[0, *b"0123456789+-.eE"]] = True  # 0 pads a short price
+_LONGEST_PRICE = len(f"{-sys.float_info.max:.6f}")
 _PAIRS = np.array([0, 2, 5, 8, 11, 20])  # century, year, month, day, hour, offset hours
 
 
@@ -230,8 +230,8 @@ def _canonical_long(text: str):
     """_parse_rows's result on ``text.splitlines()`` in one numpy pass over
     the bytes, or None unless the header is one line and every data row is
     ``YYYY-MM-DD{T| }HH:00:00[±HH:00],<price>`` in the first row's stamp
-    form (naive or with an offset), naming a real hour and a finite price.
-    Never raises: every other text goes to _parse_rows."""
+    form (naive or with an offset), naming a real hour and a finite price
+    of _LONGEST_PRICE bytes at most.  Never raises: others go to _parse_rows."""
     if not text.isascii() or "\0" in text:
         return None
     data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
@@ -245,30 +245,34 @@ def _canonical_long(text: str):
         return None
     starts, stops = feeds[:stops.size - 1] + 1, stops[1:]
     stops = stops - (data[stops - 1] == ord("\r"))
-    lengths = stops - starts
-    # a naive row needs 21 bytes
-    if lengths.min() <= 20 or lengths.max() > _LONGEST_ROW:
+    if stops[0] - starts[0] <= 20:  # a naive row needs 21 bytes
         return None
-    longest = int(lengths.max())
-    padded = np.append(data, np.zeros(longest, dtype=np.uint8))
-    m = np.lib.stride_tricks.sliding_window_view(padded, longest)[starts]
-    m[np.arange(longest) >= lengths[:, None]] = 0
-    with_offset = bool(m[0, 19] != ord(","))
+    with_offset = bool(data[starts[0] + 19] != ord(","))
     row, alt = _STAMPS[with_offset]
-    width, digit, stamp = row.size, row == ord("#"), m[:, :row.size]
-    if longest <= width or not (
-        (((stamp - 48) < 10) | ~digit).all() and ((stamp == row) | (stamp == alt) | digit).all()
-        and m[:, width].all() and _PRICE_BYTES[m[:, width:]].all()
-    ):
+    width, digit = row.size, row == ord("#")
+    sizes = stops - starts - width  # the price fields' lengths
+    if sizes.min() < 1 or sizes.max() > _LONGEST_PRICE:
+        return None
+    # the stamps read in place; the prices padded with zeros past each row's end
+    stamp = np.lib.stride_tricks.sliding_window_view(data, width)[starts]
+    longest = int(sizes.max())
+    padded = np.append(data, np.zeros(longest, dtype=np.uint8))
+    m = np.lib.stride_tricks.sliding_window_view(padded, longest)[starts + width]
+    m[np.arange(longest) >= sizes[:, None]] = 0
+    if not (((stamp == row) | (stamp == alt) | digit).all() and _PRICE_BYTES[m].all()):
         return None
     try:
-        values = np.ascontiguousarray(m[:, width:]).view(f"S{longest - width}").ravel().astype(float)
+        values = m.view(f"S{longest}").ravel().astype(float)
     except ValueError:  # a price that is no number, such as "1e" or "1.2.3"
         return None
-    # each number of the stamp from its digit pairs, and the calendar checked
+    # each number of the stamp from its digit pairs (a byte less 48 is above 9,
+    # wrapping below "0", unless it is a digit), and the calendar checked
     # here: numpy's ISO reader crashes on some stamps that are off it
     at = _PAIRS[:5 + with_offset]
-    pairs = ((stamp[:, at] - 48) * 10 + stamp[:, at + 1] - 48).astype(np.int64)
+    tens, ones = stamp[:, at] - 48, stamp[:, at + 1] - 48
+    if max(tens.max(), ones.max()) > 9:
+        return None
+    pairs = (tens * 10 + ones).astype(np.int64)
     year, (month, day, hour) = pairs[:, 0] * 100 + pairs[:, 1], pairs.T[2:5]
     months = (year - 1970) * 12 + month - 1
     # epoch days of the first of each month from the earliest to the one after the latest
@@ -279,9 +283,9 @@ def _canonical_long(text: str):
             and day.min() >= 1 and (day <= np.diff(firsts)[i]).all()
             and pairs[:, 4:].max() <= 23):
         return None
-    offsets = (np.where(m[:, 19] == ord("-"), -pairs[:, 5], pairs[:, 5]) if with_offset
-               else np.full(len(m), _NAIVE, dtype=np.int64))
-    return (firsts[i] + day - 1) * HOURS_PER_DAY + hour, offsets, values, np.arange(2, len(m) + 2)
+    offsets = (np.where(stamp[:, 19] == ord("-"), -pairs[:, 5], pairs[:, 5]) if with_offset
+               else np.full(starts.size, _NAIVE, dtype=np.int64))
+    return (firsts[i] + day - 1) * HOURS_PER_DAY + hour, offsets, values, np.arange(starts.size) + 2
 
 
 def _parse_rows(lines: list[str]):
@@ -371,7 +375,8 @@ def parse_price_csv(source, format: str = "long", zone: str = DEFAULT_ZONE) -> P
     order = np.lexsort((fields, utc))
     utc, fields, values = utc[order], fields[order], values[order]
     seen = np.flatnonzero(present[order])
-    dup = np.flatnonzero(utc[seen][1:] == utc[seen][:-1])
+    instants = utc[seen]
+    dup = np.flatnonzero(instants[1:] == instants[:-1])
     if dup.size:
         a, b = seen[dup[0]], seen[dup[0] + 1]
         first, second = sorted((int(line_nos[order[a]]), int(line_nos[order[b]])))
@@ -396,7 +401,8 @@ def calendarize(
     The spring-forward hour is filled per policy and flagged imputed; the
     doubled fall-back hour is collapsed per policy and stays observed.  Any
     other run of up to ``gap_limit`` missing hours is linearly interpolated
-    (flagged imputed); longer runs raise GapTooLong.
+    (flagged imputed); longer runs raise GapTooLong, and a filled or
+    collapsed value past the float range raises InputError.
     """
     policy = policy or DstPolicy()
     present = ~np.isnan(series.values)
@@ -438,7 +444,8 @@ def calendarize(
     flat[ordered[firsts]] = ordered_values[firsts]
     if policy.fall == "mean":
         legs = ordered_values[seconds - 1], ordered_values[seconds]
-        flat[ordered[seconds]] = (0.0 + legs[0] + legs[1]) / 2.0
+        with np.errstate(over="ignore"):  # legs too large to add: checked below
+            flat[ordered[seconds]] = (0.0 + legs[0] + legs[1]) / 2.0
     elif policy.fall == "last":
         flat[ordered[seconds]] = ordered_values[seconds]
 
@@ -457,7 +464,12 @@ def calendarize(
     flat[slot] = flat[np.where(held, a, b)]
     line = (a >= 0) & ~held
     slot, a, b = slot[line], a[line], b[line]
-    flat[slot] = flat[a] + (slot - a) / (b - a) * (flat[b] - flat[a])
+    with np.errstate(over="ignore"):  # neighbours more than the largest float apart
+        flat[slot] = flat[a] + (slot - a) / (b - a) * (flat[b] - flat[a])
+    far = np.flatnonzero(~np.isfinite(flat) & (imputed | (counts == 2)))
+    if far.size:
+        k, how = far[0], "filled with" if imputed[far[0]] else "collapsed to"
+        raise InputError(f"wall slot {iso_hour(start + k)} is {how} {flat[k]}, past the float range")
 
     values = flat.reshape((n_days, HOURS_PER_DAY)).T
     imputed = imputed.reshape((n_days, HOURS_PER_DAY)).T

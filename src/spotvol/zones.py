@@ -119,12 +119,16 @@ class ZoneOffsets:
         """Instants of wall times read with fold 0 and fold 1 (as PEP 495
         datetimes), and the mask of wall times the zone skips.
 
-        26 hours either side of a wall time bracket every instant it names.
+        26 hours either side of a wall time bracket every instant it names:
+        only wall times with an offset change that near are looked up.
         """
-        before, after = self.at(wall - 26), self.at(wall + 26)
-        first, second = wall - before, wall - after
-        first_ok = self.at(first) == before
-        second_ok = self.at(second) == after
-        fold0 = np.where(first_ok | ~second_ok, first, second)
-        fold1 = np.where(second_ok | ~first_ok, second, first)
-        return fold0, fold1, ~(first_ok | second_ok)
+        lo, hi = np.searchsorted(self._starts, np.stack([wall - 26, wall + 26]), side="right")
+        before, after = self._offsets[np.maximum(lo - 1, 0)], self._offsets[np.maximum(hi - 1, 0)]
+        fold0, fold1, skipped = wall - before, wall - after, np.zeros(wall.shape, dtype=bool)
+        near = np.flatnonzero(lo != hi)
+        first, second = fold0[near], fold1[near]
+        first_ok, second_ok = self.at(first) == before[near], self.at(second) == after[near]
+        fold0[near] = np.where(first_ok | ~second_ok, first, second)
+        fold1[near] = np.where(second_ok | ~first_ok, second, first)
+        skipped[near] = ~(first_ok | second_ok)
+        return fold0, fold1, skipped

@@ -2,12 +2,15 @@
 
 import dataclasses
 import io
+import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spotvol as sv
 from spotvol import (
@@ -15,11 +18,12 @@ from spotvol import (
     DuplicateTimestamp,
     EmptyInput,
     GapTooLong,
+    InputError,
     MalformedRow,
     WrongYearSpan,
 )
 from spotvol.ingest import _canonical_long, _parse_rows
-from spotvol.zones import ZoneOffsets
+from spotvol.zones import _DAY_RANGE, ZoneOffsets
 from conftest import berlin_year_csv, rank2_spec
 
 WIDE_HEADER = "date," + ",".join(f"h{i}" for i in range(1, 25))
@@ -111,6 +115,15 @@ def test_long_rejects_duplicate_instant():
         )
 
 
+def not_digit_rows(stamps, columns):
+    """A row per stamp, digit column and byte that is no digit: "/" and ":",
+    the bytes either side of the digits, and a letter in that column."""
+    return [pytest.param(f"{stamp[:c]}{byte}{stamp[c + 1:]},1.5", "bad timestamp",
+                         id=f"{spelling}-column-{c}-{word}")
+            for spelling, stamp in stamps for c in columns
+            for byte, word in (("/", "slash"), (":", "colon"), ("O", "letter"))]
+
+
 # Rows one step off the canonical shape that the numpy pass must leave to the
 # row parser, with the row parser's outcome: the prices in time order, or
 # the reason line 3 is rejected.
@@ -142,6 +155,9 @@ NEAR_CANONICAL = [
                    id=name)
       for brk, name in (("\x0b", "vertical-tab"), ("\x0c", "form-feed"),
                         ("\x1c", "file-separator"), ("\r", "lone-cr"))),
+    # the tens and the ones byte of the century, year, month, day and hour
+    *not_digit_rows((("T", "2016-03-01T05:00:00"), ("space", "2016-03-01 05:00:00")),
+                    (0, 1, 2, 3, 5, 6, 8, 9, 11, 12)),
 ]
 
 
@@ -165,6 +181,9 @@ OFFSET_ROWS = [
     pytest.param("2016-03-01T05:00:00-24:00,1.5", "bad timestamp", id="offset-minus-24"),
     pytest.param("2016-03-01T05:00:00+01:30,1.5", "is not on an hour boundary", id="offset-90-min"),
     pytest.param("2016-02-30T05:00:00+01:00,1.5", "bad timestamp", id="feb-30"),
+    # the tens and the ones byte of the offset hours
+    *not_digit_rows((("plus", "2016-03-01T05:00:00+01:00"),
+                     ("minus", "2016-03-01 05:00:00-01:00")), (20, 21)),
 ]
 
 
@@ -217,6 +236,35 @@ def test_numpy_pass_takes_crlf_unterminated_and_padded_header(text, stamps):
     for a, b in zip(fast, rows):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert fast[3].tolist() == [2, 3]
+
+
+def same_arrays(fast, rows):
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(fast, rows))
+
+
+LONGEST_PRICE = f"{-sys.float_info.max:.6f}"  # the longest price "%.6f" writes
+
+
+def priced_body(offset, price):
+    rows = [f"2016-03-01T0{h}:00:00{offset},{p}" for h, p in ((3, "1.0"), (5, price), (7, "2.0"))]
+    return "\n".join(["timestamp,price", *rows]) + "\n"
+
+
+@pytest.mark.parametrize("offset", ["", "+00:00"], ids=["naive", "with-offset"])
+def test_a_price_of_the_longest_six_decimal_float_stays_canonical(offset):
+    text = priced_body(offset, LONGEST_PRICE)
+    fast = _canonical_long(text)
+    assert fast is not None and same_arrays(fast, _parse_rows(text.splitlines()))
+
+
+@pytest.mark.parametrize("offset", ["", "+00:00"], ids=["naive", "with-offset"])
+def test_a_price_past_the_longest_six_decimal_float_takes_the_row_parser(offset):
+    text = priced_body(offset, "-0" + LONGEST_PRICE[1:])  # one byte more, a leading zero
+    assert _canonical_long(text) is None
+    series = parse(text, zone="UTC")
+    fields, _, values, _ = _parse_rows(text.splitlines())
+    assert series.utc_hours.tobytes() == fields.tobytes()
+    assert series.values.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\r\r"])  # the last: a CR before CRLF
@@ -517,6 +565,36 @@ def test_edge_gap_filled_with_nearest():
     assert matrix.manifest["gap_hours_filled"] == 4
 
 
+def calendarize_error(text, zone):
+    """The error analyze_year raises on the text, with no warning on the way."""
+    with pytest.raises(InputError) as info:
+        sv.analyze_year(sv.RunConfig(zone=zone), io.StringIO(text))
+    return info.value
+
+
+def test_a_gap_fill_past_the_float_range_is_an_input_error():
+    # a two-hour gap between two finite prices more than the largest float apart
+    text = full_year("2016-03-01T05:00:00,6.0")
+    text = text.replace("2016-01-05T03:00:00,4.0", "2016-01-05T03:00:00,-1e308")
+    text = text.replace("2016-01-05T06:00:00,7.0", "2016-01-05T06:00:00,1e308")
+    for h in (4, 5):
+        text = text.replace(f"2016-01-05T0{h}:00:00,{1.0 + h}\n", "")
+    error = calendarize_error(text, "UTC")
+    assert type(error) is InputError and error.stage == "calendarize"
+    assert str(error) == "wall slot 2016-01-05T04:00:00 is filled with inf, past the float range"
+
+
+def test_a_fall_back_mean_past_the_float_range_is_an_input_error():
+    def price(i, wall, fold):
+        return 1e308 if (wall.month, wall.day, wall.hour) == (10, 30, 2) else 20.0 + i % 24
+
+    text = berlin_year_csv(2016, price)
+    assert text.count(",1e+308\n") == 2
+    error = calendarize_error(text, "Europe/Berlin")
+    assert type(error) is InputError and error.stage == "calendarize"
+    assert str(error) == "wall slot 2016-10-30T02:00:00 is collapsed to inf, past the float range"
+
+
 def test_flatten_round_trip():
     series = sv.generate(rank2_spec(seed=4))
     matrix = sv.calendarize(series)
@@ -585,6 +663,47 @@ def test_zone_table_agrees_with_zoneinfo(zone, year, n_skipped):
     round_trip = [w.replace(tzinfo=tz).astimezone(timezone.utc).astimezone(tz) for w in walls]
     assert skipped.tolist() == [r.replace(tzinfo=None) != w for r, w in zip(round_trip, walls)]
     assert skipped.sum() == n_skipped
+
+
+def resolve_reference(table, wall):
+    """ZoneOffsets.resolve as four offset lookups over every wall time."""
+    before, after = table.at(wall - 26), table.at(wall + 26)
+    first, second = wall - before, wall - after
+    first_ok, second_ok = table.at(first) == before, table.at(second) == after
+    fold0 = np.where(first_ok | ~second_ok, first, second)
+    fold1 = np.where(second_ok | ~first_ok, second, first)
+    return fold0, fold1, ~(first_ok | second_ok)
+
+
+# tables over each ZONE_YEARS year and over the zone's year 9999 up to the end of
+# the probed range; at its start, where zones keep their local mean time, fixed ones
+TABLES = [
+    *(ZoneOffsets(zone, epoch_hours(f"{year}-01-01T00") + np.arange(24 * 366))
+      for zone, year, _ in ZONE_YEARS),
+    *(ZoneOffsets(zone, epoch_hours("9999-01-01T00") + np.arange(24 * 363))
+      for zone, *_ in ZONE_YEARS),
+    *(ZoneOffsets(zone, _DAY_RANGE[0] * 24 + np.arange(48))
+      for zone in ("UTC", "Etc/GMT-14", "Etc/GMT+12")),
+]
+
+
+@st.composite
+def tables_and_walls(draw):
+    table = draw(st.sampled_from(TABLES))
+    starts = table._starts.tolist()
+    # any hour from well before the first offset start to well after the last,
+    # and hours next to a start
+    wall = st.one_of(st.integers(starts[0] - 100, starts[-1] + 100),
+                     st.tuples(st.sampled_from(starts), st.integers(-30, 30)).map(sum))
+    return table, np.array(draw(st.lists(wall, min_size=1, max_size=60)), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tables_and_walls())
+def test_resolve_equals_four_lookups_over_every_wall_time(table_and_walls):
+    table, wall = table_and_walls
+    for got, expected in zip(table.resolve(wall), resolve_reference(table, wall)):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_a_parsed_year_probes_its_zone_once(monkeypatch):

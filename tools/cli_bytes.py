@@ -81,6 +81,11 @@ COMMANDS = [
      "--out", "year_mixed"],
     # finite prices whose squares overflow a float
     ["analyze-year", "overflow_2016.csv", *UTC, "--out", "year_overflow"],
+    # a UTC year whose line 3000 spells its month "O5": the numpy pass reads that
+    # letter where it decodes the month, and leaves the year to the row parser
+    ["ingest-check", "letter_o_2016.csv", *UTC],
+    # a two-hour gap between -1e308 and 1e308 fills past the float range
+    ["ingest-check", "gap_overflow_2016.csv", *UTC],
     # the wide parser: blank cells, a padded cell and a blank line
     ["ingest-check", "berlin_wide_2016.csv", *WIDE],
     ["analyze-year", "berlin_wide_2016.csv", *WIDE, "--permutations", "200", "--out", "year_wide"],
@@ -279,12 +284,17 @@ def write_inputs(work: Path) -> None:
     zulu = [row.replace(",", "Z,") for row in rows]
     overflow = [row.partition(",")[0] + ",1e308" if i in (99, 100) else row
                 for i, row in enumerate(rows)]  # data rows 100 and 101
+    letter_o = [row.replace("-05-", "-O5-") if i == 2998 else row for i, row in enumerate(rows)]
+    # data rows 99 and 102 priced -1e308 and 1e308, the two rows between left out
+    gap_overflow = [*rows[:99], rows[99].partition(",")[0] + ",-1e308",
+                    rows[102].partition(",")[0] + ",1e308", *rows[103:]]
     rows[4998] = rows[4998].replace(":00:00,", ":30:00,")  # data row 4998 is line 5000
     sparse = sparse_rows(berlin_year_csv(2016))
     new_york = utc_stamped_rows(2016, "America/New_York")
     kiritimati = utc_stamped_rows(2016, "Pacific/Kiritimati")
     for name, body in (("alternate_2016.csv", alternate), ("zulu_2016.csv", zulu),
-                       ("overflow_2016.csv", overflow),
+                       ("overflow_2016.csv", overflow), ("letter_o_2016.csv", letter_o),
+                       ("gap_overflow_2016.csv", gap_overflow),
                        ("half_hour_2016.csv", rows),
                        ("berlin_sparse_2016.csv", sparse), ("new_york_utc_2016.csv", new_york),
                        ("kiritimati_utc_2016.csv", kiritimati),
